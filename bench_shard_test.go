@@ -89,3 +89,48 @@ func benchmarkDirectoryMixed(b *testing.B, shards int) {
 		}
 	})
 }
+
+// BenchmarkDirectoryParkedCycle is the bounded-residency rung: with a
+// resident bound of one and two users touched in turn, every op
+// rebuilds one user's parked 20-preference profile and parks the other
+// — the access → unpark → evict cycle that dominates a directory whose
+// users far outnumber its bound.
+func BenchmarkDirectoryParkedCycle(b *testing.B) {
+	env, err := dataset.RealEnvironment()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := dataset.POIs(env, 60, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := NewDirectory(env, rel, WithMaxResidentUsers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var users [2]*SafeSystem
+	for i := range users {
+		prefs, err := dataset.ProfileSpec{Env: env, NumPrefs: 20, Seed: benchSeed + int64(i),
+			Dist: dataset.Zipf, ZipfA: 1, UpperLevelProb: 0.2}.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if users[i], err = d.User(fmt.Sprintf("bench-parked-%d", i)); err != nil {
+			b.Fatal(err)
+		}
+		if err := users[i].AddPreferences(prefs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if users[i%2].NumPreferences() == 0 {
+			b.Fatal("parked profile rebuilt empty")
+		}
+	}
+	b.StopTimer()
+	if d.ResidentUsers() != 1 {
+		b.Fatalf("ResidentUsers = %d, want 1", d.ResidentUsers())
+	}
+}

@@ -35,6 +35,13 @@ type SafeSystem struct {
 	user  string                   // directory key
 	// parked holds the profile as add/remove records while sys is nil.
 	parked []journal.Record
+	// archive is the add-only record list the resident system was last
+	// rebuilt from, and archiveVersion the tree's Version() right after
+	// that rebuild: while the version has not moved, the archive still
+	// describes the profile exactly and tryPark re-parks it as-is instead
+	// of re-encoding the tree. Kept only in shards with a resident bound.
+	archive        []journal.Record
+	archiveVersion uint64
 	// parkPersist/parkHealth are the hooks to re-attach on unpark;
 	// meaningful only while parked.
 	parkPersist Persister
@@ -60,13 +67,17 @@ func (s *SafeSystem) touch() {
 // write lock. The parked records were validated when first committed,
 // so a rebuild failure indicates resource exhaustion or a foreign
 // record slipped into the journal — the error surfaces to the caller
-// and the handle stays parked for a later retry. It returns the owning
-// shard when this call materialized the system (nil when it was
-// already resident), so the caller can run the eviction sweep after
-// releasing the handle lock: sweeping from under s.mu would acquire
-// the shard lock against the declared shard -> SafeSystem order and
-// deadlock against setPersister/setHealth, which hold the shard lock
-// while attaching hooks to every handle (cpvet:lockorder caught this).
+// and the handle stays parked for a later retry. Each record is parsed
+// once and conflict-checked once (by InsertAll). In a shard with a
+// resident bound, an add-only record list is kept as the handle's
+// archive for the next park. It returns the owning shard when this
+// call materialized the system (nil when it was already resident), so
+// the caller can admit it to the shard's resident set and run the
+// eviction sweep after releasing the handle lock: touching the shard
+// lock from under s.mu would acquire it against the declared shard ->
+// SafeSystem order and deadlock against setPersister/setHealth, which
+// hold the shard lock while attaching hooks to every handle
+// (cpvet:lockorder caught this).
 func (s *SafeSystem) ensureLocked() (*dirShard, error) {
 	if s.sys != nil {
 		return nil, nil
@@ -80,14 +91,21 @@ func (s *SafeSystem) ensureLocked() (*dirShard, error) {
 		return nil, fmt.Errorf("contextpref: loading user %q: %w", s.user, err)
 	}
 	sys.SetHealth(s.parkHealth)
+	addOnly := true
 	for _, r := range s.parked {
 		if err := applyRecord(sys, r); err != nil {
 			return nil, fmt.Errorf("contextpref: loading user %q: %w", s.user, err)
 		}
+		addOnly = addOnly && r.Op != journal.OpRemove
 	}
 	// Hooks re-attach only after the records applied, so the rebuild is
 	// never re-journaled and never health-gated.
 	sys.SetPersister(s.parkPersist, s.user)
+	// A list with removes would outgrow the normalized form on every
+	// cycle; it is dropped, and the next park re-encodes the tree.
+	if sh.maxResident > 0 && addOnly {
+		s.archive, s.archiveVersion = s.parked, sys.tree.Version()
+	}
 	s.sys = sys
 	s.parked = nil
 	s.parkPersist, s.parkHealth = nil, nil
@@ -98,8 +116,9 @@ func (s *SafeSystem) ensureLocked() (*dirShard, error) {
 
 // rlock acquires the handle for reading, materializing a parked system
 // first (which upgrades to the write lock for this access). It returns
-// the matching unlock; on the materialize path the unlock also runs
-// the shard's eviction sweep, after the handle lock is released.
+// the matching unlock; on the materialize path the unlock also admits
+// the handle to the shard's resident set and runs the eviction sweep,
+// after the handle lock is released.
 func (s *SafeSystem) rlock() (func(), error) {
 	s.touch()
 	s.mu.RLock()
@@ -114,15 +133,15 @@ func (s *SafeSystem) rlock() (func(), error) {
 		return nil, err
 	}
 	if sh != nil {
-		return func() { s.mu.Unlock(); sh.maybeEvict(s) }, nil
+		return func() { s.mu.Unlock(); sh.admit(s) }, nil
 	}
 	return s.mu.Unlock, nil
 }
 
 // wlock acquires the handle for writing, materializing a parked system
 // first. It returns the matching unlock; on the materialize path the
-// unlock also runs the shard's eviction sweep, after the handle lock
-// is released.
+// unlock also admits the handle to the shard's resident set and runs
+// the eviction sweep, after the handle lock is released.
 func (s *SafeSystem) wlock() (func(), error) {
 	s.touch()
 	s.mu.Lock()
@@ -132,7 +151,7 @@ func (s *SafeSystem) wlock() (func(), error) {
 		return nil, err
 	}
 	if sh != nil {
-		return func() { s.mu.Unlock(); sh.maybeEvict(s) }, nil
+		return func() { s.mu.Unlock(); sh.admit(s) }, nil
 	}
 	return s.mu.Unlock, nil
 }
@@ -157,12 +176,14 @@ func (s *SafeSystem) residentHint() bool {
 	return false
 }
 
-// tryPark parks an idle resident system: the profile is exported to
-// its normalized record form, the hooks are detached into the parked
-// fields, and the System is dropped. It refuses without blocking if
-// the handle is in use (TryLock fails), already parked, not
-// directory-managed, or its export fails; it reports whether it
-// parked. Counter updates are the caller's.
+// tryPark parks an idle resident system: the hooks are detached into
+// the parked fields and the System is dropped. The profile is kept as
+// the archive it was rebuilt from when the tree has not changed since;
+// otherwise it is exported to its normalized record form. It refuses
+// without blocking if the handle is in use (TryLock fails), already
+// parked, not directory-managed, or its export fails; it reports
+// whether it parked. Counter and resident-set updates are the
+// caller's.
 func (s *SafeSystem) tryPark() bool {
 	if !s.mu.TryLock() {
 		return false
@@ -171,11 +192,15 @@ func (s *SafeSystem) tryPark() bool {
 	if s.sys == nil || s.shard.Load() == nil {
 		return false
 	}
-	recs, err := s.sys.SnapshotRecords(s.user)
-	if err != nil {
-		return false
+	recs := s.archive
+	if recs == nil || s.sys.tree.Version() != s.archiveVersion {
+		var err error
+		if recs, err = s.sys.SnapshotRecords(s.user); err != nil {
+			return false
+		}
 	}
 	s.parked = recs
+	s.archive = nil
 	s.parkPersist = s.sys.persist
 	s.parkHealth = s.sys.health
 	s.sys = nil

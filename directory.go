@@ -172,6 +172,7 @@ func (d *Directory) user(ctx context.Context, name string, seed bool) (*SafeSyst
 		sys.user = name
 		sys.lastTouch.Store(sh.clock.Add(1))
 		sh.systems[name] = sys
+		sh.residents[sys] = struct{}{}
 		sh.noteResident(1)
 		return sys, nil
 	}()
@@ -235,6 +236,7 @@ func (d *Directory) RemoveUserCtx(ctx context.Context, name string) (bool, error
 	}
 	sys, ok := sh.systems[name]
 	delete(sh.systems, name)
+	delete(sh.residents, sys)
 	persist := sh.persist
 	sh.mu.Unlock()
 	if !ok {
@@ -250,6 +252,12 @@ func (d *Directory) RemoveUserCtx(ctx context.Context, name string) (bool, error
 			sh.mu.Lock()
 			if _, exists := sh.systems[name]; !exists {
 				sh.systems[name] = sys
+				// Residency cannot change while detached: a parked handle
+				// without a shard refuses to load, and eviction only takes
+				// handles from the set.
+				if wasResident {
+					sh.residents[sys] = struct{}{}
+				}
 			}
 			sh.mu.Unlock()
 			sh.noteUsers()

@@ -271,5 +271,7 @@ func ParseProfile(e *ctxmodel.Environment, text string) (*Profile, error) {
 			return nil, fmt.Errorf("line %d: %w", ln+1, err)
 		}
 	}
+	// The pair index only serves the adds above; a later Add rebuilds it.
+	pr.seen = nil
 	return pr, nil
 }

@@ -116,6 +116,24 @@ func Conflicts(e *ctxmodel.Environment, p1, p2 Preference) (bool, error) {
 type Profile struct {
 	env   *ctxmodel.Environment
 	prefs []Preference
+	// seen indexes every (clause, state) pair stored so far by the
+	// preference that first stored it, so Add checks Def. 6 in time
+	// linear in the new preference's states. nil until the first Add
+	// needs it; ParseProfile drops it when done.
+	seen map[pairKey]firstSeen
+}
+
+// pairKey is one (clause, context state) pair; the struct key compares
+// clauses exactly as Clause.Equal does.
+type pairKey struct {
+	clause Clause
+	state  string
+}
+
+// firstSeen locates the earliest stored preference holding a pair:
+// its index in the profile and the pair's position in its expansion.
+type firstSeen struct {
+	pref, ord int
 }
 
 // NewProfile creates an empty profile over the environment.
@@ -159,40 +177,72 @@ func (e *ConflictError) Error() string {
 
 // Add validates the preference's descriptor against the environment,
 // checks Def. 6 conflicts against every stored preference, and appends
-// it. On conflict it returns a *ConflictError and leaves the profile
-// unchanged. Re-adding an identical preference is a no-op.
+// it. On conflict it returns a *ConflictError naming the earliest
+// stored preference in insertion order that conflicts, and the first
+// shared state in that preference's expansion order; the profile is
+// left unchanged. Same clause and score on overlapping states is not a
+// conflict, and such a duplicate is kept for fidelity with the
+// per-state profile-tree storage.
+//
+// All preferences holding a pair share one score (a second score would
+// have conflicted), so the earliest conflicting preference is the
+// first holder of every pair it shares with p, and the index finds it.
 func (pr *Profile) Add(p Preference) error {
 	states, err := p.Descriptor.Context(pr.env)
 	if err != nil {
 		return err
 	}
-	newKeys := make(map[string]ctxmodel.State, len(states))
-	for _, s := range states {
-		newKeys[s.Key()] = s
-	}
-	for _, q := range pr.prefs {
-		if !q.Clause.Equal(p.Clause) {
-			continue
-		}
-		qs, err := q.Descriptor.Context(pr.env)
-		if err != nil {
+	if pr.seen == nil {
+		if err := pr.index(); err != nil {
 			return err
 		}
-		for _, s := range qs {
-			if _, hit := newKeys[s.Key()]; hit {
-				if q.Score == p.Score {
-					// Same clause, same score, overlapping context:
-					// not a conflict under Def. 6. If the contexts are
-					// identical the preference is a duplicate; either
-					// way storing it is harmless, keep it for fidelity
-					// with the per-state profile-tree storage.
-					break
-				}
-				return &ConflictError{New: p, Existing: q, State: s}
-			}
+	}
+	keys := make([]pairKey, len(states))
+	conflict := firstSeen{pref: -1}
+	var at ctxmodel.State
+	for i, s := range states {
+		keys[i] = pairKey{clause: p.Clause, state: s.Key()}
+		fs, ok := pr.seen[keys[i]]
+		if !ok || pr.prefs[fs.pref].Score == p.Score {
+			continue
+		}
+		if conflict.pref < 0 || fs.pref < conflict.pref || (fs.pref == conflict.pref && fs.ord < conflict.ord) {
+			conflict, at = fs, s
 		}
 	}
+	if conflict.pref >= 0 {
+		return &ConflictError{New: p, Existing: pr.prefs[conflict.pref], State: at}
+	}
+	pr.record(len(pr.prefs), keys)
 	pr.prefs = append(pr.prefs, p)
+	return nil
+}
+
+// record indexes the pairs of the preference at position idx that no
+// earlier preference holds.
+func (pr *Profile) record(idx int, keys []pairKey) {
+	for ord, k := range keys {
+		if _, ok := pr.seen[k]; !ok {
+			pr.seen[k] = firstSeen{pref: idx, ord: ord}
+		}
+	}
+}
+
+// index (re)builds the pair index from the stored preferences.
+func (pr *Profile) index() error {
+	pr.seen = make(map[pairKey]firstSeen)
+	for i, q := range pr.prefs {
+		qs, err := q.Descriptor.Context(pr.env)
+		if err != nil {
+			pr.seen = nil
+			return err
+		}
+		keys := make([]pairKey, len(qs))
+		for j, s := range qs {
+			keys[j] = pairKey{clause: q.Clause, state: s.Key()}
+		}
+		pr.record(i, keys)
+	}
 	return nil
 }
 

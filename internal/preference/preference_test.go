@@ -2,6 +2,7 @@ package preference
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -351,4 +352,143 @@ func TestFormatParseProfile(t *testing.T) {
 	if _, err := ParseProfile(e, "[location = Atlantis] => name = x : 0.5"); err == nil {
 		t.Error("unknown value should fail")
 	}
+}
+
+// TestProfileAddReportsEarliestConflict pins which Existing and State a
+// conflict reports when several stored preferences overlap the new
+// one: the earliest conflicting preference in insertion order, and the
+// first shared state in that preference's own expansion order (not the
+// new preference's).
+func TestProfileAddReportsEarliestConflict(t *testing.T) {
+	e := env(t)
+	pr, _ := NewProfile(e)
+	plakaHotWarm := MustNew(
+		ctxmodel.MustDescriptor(ctxmodel.Eq("location", "Plaka"), ctxmodel.In("temperature", "hot", "warm")),
+		nameEq("Acropolis"), 0.8)
+	pr.MustAdd(
+		// Disjoint from the new preference.
+		MustNew(ctxmodel.MustDescriptor(ctxmodel.Eq("location", "Kifisia")), nameEq("Acropolis"), 0.5),
+		// Overlapping, but another clause.
+		MustNew(ctxmodel.MustDescriptor(ctxmodel.Eq("location", "Plaka"), ctxmodel.Eq("temperature", "warm")),
+			typeEq("museum"), 0.2),
+		plakaHotWarm,
+		// Overlaps on (Plaka, hot, all) too, with plakaHotWarm's score.
+		MustNew(ctxmodel.MustDescriptor(ctxmodel.Eq("location", "Plaka"), ctxmodel.Eq("temperature", "hot")),
+			nameEq("Acropolis"), 0.8),
+	)
+	newPref := MustNew(
+		ctxmodel.MustDescriptor(ctxmodel.Eq("location", "Plaka"), ctxmodel.In("temperature", "warm", "hot")),
+		nameEq("Acropolis"), 0.1)
+	var ce *ConflictError
+	if err := pr.Add(newPref); !errors.As(err, &ce) {
+		t.Fatalf("Add = %v, want *ConflictError", err)
+	}
+	if ce.Existing.String() != plakaHotWarm.String() {
+		t.Errorf("Existing = %v, want %v", ce.Existing, plakaHotWarm)
+	}
+	if got := ce.State.String(); got != "(Plaka, hot, all)" {
+		t.Errorf("State = %s, want (Plaka, hot, all)", got)
+	}
+	// The same answer after the pair index is dropped and rebuilt.
+	pr.seen = nil
+	var again *ConflictError
+	if err := pr.Add(newPref); !errors.As(err, &again) || again.Existing.String() != ce.Existing.String() ||
+		again.State.Key() != ce.State.Key() {
+		t.Errorf("after an index rebuild Add = %v, want %v", again, ce)
+	}
+}
+
+// quadraticAdd is the reference Def. 6 check Profile.Add replaced: every
+// earlier same-clause preference in insertion order is re-expanded and
+// scanned for a state shared with p.
+func quadraticAdd(e *ctxmodel.Environment, prefs []Preference, p Preference) (*ConflictError, error) {
+	states, err := p.Descriptor.Context(e)
+	if err != nil {
+		return nil, err
+	}
+	newKeys := make(map[string]bool, len(states))
+	for _, s := range states {
+		newKeys[s.Key()] = true
+	}
+	for _, q := range prefs {
+		if !q.Clause.Equal(p.Clause) {
+			continue
+		}
+		qs, err := q.Descriptor.Context(e)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range qs {
+			if newKeys[s.Key()] {
+				if q.Score == p.Score {
+					break
+				}
+				return &ConflictError{New: p, Existing: q, State: s}, nil
+			}
+		}
+	}
+	return nil, nil
+}
+
+// TestProfileAddMatchesQuadraticReference: over seeded random
+// preferences — eq, in and upper-level values, few clauses and scores
+// so overlaps and conflicts are frequent — the indexed Add accepts and
+// rejects exactly what the quadratic scan does, and reports the same
+// Existing and State.
+func TestProfileAddMatchesQuadraticReference(t *testing.T) {
+	e := env(t)
+	rng := rand.New(rand.NewSource(7))
+	pick := func(vals []string) string { return vals[rng.Intn(len(vals))] }
+	randomPref := func() Preference {
+		var pds []ctxmodel.ParamDescriptor
+		for i := 0; i < e.NumParams(); i++ {
+			h := e.Param(i).Hierarchy()
+			name := e.Param(i).Name()
+			switch rng.Intn(4) {
+			case 0: // unconstrained
+			case 1:
+				pds = append(pds, ctxmodel.Eq(name, pick(h.ValuesAt(rng.Intn(h.NumLevels()-1)))))
+			default:
+				a, b := pick(h.DetailedValues()), pick(h.DetailedValues())
+				if a == b {
+					pds = append(pds, ctxmodel.Eq(name, a))
+				} else {
+					pds = append(pds, ctxmodel.In(name, a, b))
+				}
+			}
+		}
+		clause := nameEq([]string{"Acropolis", "Benaki"}[rng.Intn(2)])
+		return MustNew(ctxmodel.MustDescriptor(pds...), clause, []float64{0.2, 0.5, 0.8}[rng.Intn(3)])
+	}
+	conflicts := 0
+	for round := 0; round < 20; round++ {
+		pr, _ := NewProfile(e)
+		for i := 0; i < 60; i++ {
+			p := randomPref()
+			want, err := quadraticAdd(e, pr.Preferences(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = pr.Add(p)
+			if want == nil {
+				if err != nil {
+					t.Fatalf("round %d add %d: Add(%v) = %v, reference accepts", round, i, p, err)
+				}
+				continue
+			}
+			conflicts++
+			var got *ConflictError
+			if !errors.As(err, &got) {
+				t.Fatalf("round %d add %d: Add(%v) = %v, reference reports %v", round, i, p, err, want)
+			}
+			if got.Existing.String() != want.Existing.String() || got.State.Key() != want.State.Key() {
+				t.Fatalf("round %d add %d: conflict (%v on %s), reference (%v on %s)",
+					round, i, got.Existing, got.State, want.Existing, want.State)
+			}
+		}
+	}
+	if conflicts < 100 {
+		t.Errorf("only %d of 1200 adds conflicted; the generator no longer exercises the check", conflicts)
+	}
+	t.Logf("%d of 1200 adds conflicted", conflicts)
 }

@@ -102,6 +102,9 @@ type Tree struct {
 	numInternalCells int
 	numLeafEntries   int
 	numPrefs         int
+	// version counts mutations: every applied insertion and every
+	// deletion that removed an entry bumps it (see Version).
+	version uint64
 
 	// metrics, when set, observes the paper's cost model live; nil (the
 	// default) costs one pointer check per resolution.
@@ -234,6 +237,14 @@ func (t *Tree) NumInternalCells() int { return t.numInternalCells }
 // NumLeafEntries returns the number of [clause, score] leaf entries.
 func (t *Tree) NumLeafEntries() int { return t.numLeafEntries }
 
+// Version returns the tree's mutation counter: it moves on every
+// applied insertion and on every Delete that removed at least one
+// entry, and on nothing else. Two equal readings bracket a span in
+// which the stored profile did not change, so a caller holding a record
+// form of the profile taken at the first reading can reuse it instead
+// of re-encoding the tree.
+func (t *Tree) Version() uint64 { return t.version }
+
 // NumCells returns the paper's cell count: internal cells plus leaf
 // entries.
 func (t *Tree) NumCells() int { return t.numInternalCells + t.numLeafEntries }
@@ -297,30 +308,27 @@ func (t *Tree) toEnvOrder(path []string) ctxmodel.State {
 // *preference.ConflictError and the tree is left unchanged. Re-inserting
 // an identical (state, clause, score) triple is a no-op for that state.
 func (t *Tree) Insert(p preference.Preference) error {
-	if err := t.checkInsert(p, nil); err != nil {
-		return err
-	}
-	t.applyInsert(p)
-	return nil
+	return t.InsertAll(p)
 }
 
 // checkInsert validates one preference without mutating the tree: score
 // range, descriptor validity, and Def. 6 conflicts against both the
 // stored entries and — when pending is non-nil — entries accumulated by
-// earlier members of the same batch.
-func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) error {
+// earlier members of the same batch. It returns the descriptor's
+// expansion for applyInsert.
+func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) ([]ctxmodel.State, error) {
 	if p.Score < 0 || p.Score > 1 {
-		return fmt.Errorf("profiletree: interest score %v outside [0, 1]", p.Score)
+		return nil, fmt.Errorf("profiletree: interest score %v outside [0, 1]", p.Score)
 	}
 	states, err := p.Descriptor.Context(t.env)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, s := range states {
 		if leafNode, _, _ := t.descendExact(s); leafNode != nil {
 			for _, e := range leafNode.entries {
 				if e.Clause.Equal(p.Clause) && e.Score != p.Score {
-					return &preference.ConflictError{
+					return nil, &preference.ConflictError{
 						New:      p,
 						Existing: preference.Preference{Descriptor: p.Descriptor, Clause: e.Clause, Score: e.Score},
 						State:    s,
@@ -331,7 +339,7 @@ func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) 
 		if pending != nil {
 			k := s.Key() + "\x1f" + p.Clause.Key()
 			if sc, ok := pending[k]; ok && sc != p.Score {
-				return &preference.ConflictError{
+				return nil, &preference.ConflictError{
 					New:      p,
 					Existing: preference.Preference{Descriptor: p.Descriptor, Clause: p.Clause, Score: sc},
 					State:    s,
@@ -340,7 +348,7 @@ func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) 
 			pending[k] = p.Score
 		}
 	}
-	return nil
+	return states, nil
 }
 
 // CheckInsert reports the error InsertAll would return for the batch
@@ -350,37 +358,52 @@ func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) 
 // intervening mutations). Batch errors are annotated with the failing
 // index ("preference %d: ...").
 func (t *Tree) CheckInsert(ps ...preference.Preference) error {
-	pending := make(map[string]float64)
-	for i, p := range ps {
-		if err := t.checkInsert(p, pending); err != nil {
-			if len(ps) > 1 {
-				return fmt.Errorf("preference %d: %w", i, err)
-			}
-			return err
-		}
+	_, err := t.checkBatch(ps)
+	return err
+}
+
+// checkBatch implements CheckInsert, returning each preference's
+// descriptor expansion. A single preference has no earlier batch
+// members, so it skips the pending-entry map.
+func (t *Tree) checkBatch(ps []preference.Preference) ([][]ctxmodel.State, error) {
+	var pending map[string]float64
+	if len(ps) > 1 {
+		pending = make(map[string]float64)
 	}
-	return nil
+	expanded := make([][]ctxmodel.State, len(ps))
+	for i, p := range ps {
+		states, err := t.checkInsert(p, pending)
+		if err != nil {
+			if len(ps) > 1 {
+				return nil, fmt.Errorf("preference %d: %w", i, err)
+			}
+			return nil, err
+		}
+		expanded[i] = states
+	}
+	return expanded, nil
 }
 
 // InsertAll inserts a batch atomically: the whole batch is validated
 // with CheckInsert first, and only then applied, so a failing batch
 // leaves the tree completely unchanged — callers never observe a
-// half-applied profile.
+// half-applied profile. Each descriptor is expanded once, by the check.
 func (t *Tree) InsertAll(ps ...preference.Preference) error {
-	if err := t.CheckInsert(ps...); err != nil {
+	expanded, err := t.checkBatch(ps)
+	if err != nil {
 		return err
 	}
-	for _, p := range ps {
-		t.applyInsert(p)
+	for i, p := range ps {
+		t.applyInsert(p, expanded[i])
 	}
 	return nil
 }
 
-// applyInsert performs the insertion with incremental counter
-// maintenance. It must only run after checkInsert passed, which makes
-// the descriptor expansion infallible.
-func (t *Tree) applyInsert(p preference.Preference) {
-	states, _ := p.Descriptor.Context(t.env)
+// applyInsert inserts the preference's entry under each of its states
+// (the descriptor's expansion, as checkInsert returned it) with
+// incremental counter maintenance. It must only run after checkInsert
+// passed.
+func (t *Tree) applyInsert(p preference.Preference, states []ctxmodel.State) {
 	for _, s := range states {
 		path := t.toTreeOrder(s)
 		nd := t.root
@@ -407,6 +430,7 @@ func (t *Tree) applyInsert(p preference.Preference) {
 		}
 	}
 	t.numPrefs++
+	t.version++
 }
 
 // Delete removes the preference's (clause, score) entry from every
@@ -433,6 +457,7 @@ func (t *Tree) Delete(p preference.Preference) (int, error) {
 		}
 	}
 	if removed > 0 {
+		t.version++
 		t.numPrefs--
 		if t.numPrefs < 0 {
 			t.numPrefs = 0

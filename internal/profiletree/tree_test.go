@@ -931,3 +931,49 @@ func TestQuickDeleteParity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestVersionCountsMutations: Version moves on every applied insertion
+// and on every Delete that removed an entry, and on nothing else — not
+// on rejected batches, checks, searches or no-op deletes.
+func TestVersionCountsMutations(t *testing.T) {
+	e := env(t)
+	tr, err := New(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefs := fig4Prefs()
+	expect := func(step string, want uint64) {
+		t.Helper()
+		if got := tr.Version(); got != want {
+			t.Fatalf("%s: Version = %d, want %d", step, got, want)
+		}
+	}
+	expect("empty", 0)
+	if err := tr.InsertAll(prefs...); err != nil {
+		t.Fatal(err)
+	}
+	expect("insert batch", 3)
+	conflicting := preference.MustNew(prefs[0].Descriptor, prefs[0].Clause, 0.1)
+	if err := tr.InsertAll(conflicting); err == nil {
+		t.Fatal("conflicting insert accepted")
+	}
+	if err := tr.CheckInsert(prefs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := tr.Resolve(st(t, e, "Plaka", "warm", "friends"), distance.Hierarchy{}); err != nil {
+		t.Fatal(err)
+	}
+	expect("rejected insert, check and resolve", 3)
+	if n, err := tr.Delete(conflicting); err != nil || n != 0 {
+		t.Fatalf("Delete(absent) = %d, %v", n, err)
+	}
+	expect("no-op delete", 3)
+	if n, err := tr.Delete(prefs[2]); err != nil || n == 0 {
+		t.Fatalf("Delete = %d, %v", n, err)
+	}
+	expect("delete", 4)
+	if err := tr.Insert(prefs[2]); err != nil {
+		t.Fatal(err)
+	}
+	expect("re-insert", 5)
+}

@@ -209,6 +209,7 @@ func (d *Directory) replayRecord(r journal.Record) error {
 		sh.mu.Lock()
 		sys, ok := sh.systems[r.User]
 		delete(sh.systems, r.User)
+		delete(sh.residents, sys)
 		sh.mu.Unlock()
 		if ok {
 			if sys.detach() {
@@ -260,9 +261,7 @@ func applyRecord(s *System, r journal.Record) error {
 			return err
 		}
 		if r.Op == journal.OpAdd {
-			if err := s.tree.CheckInsert(p); err != nil {
-				return err
-			}
+			// InsertAll runs the Def. 6 conflict check itself.
 			if err := s.tree.InsertAll(p); err != nil {
 				return err
 			}
@@ -309,6 +308,7 @@ func (d *Directory) ResetReplicated(recs []journal.Record) error {
 			dropped = append(dropped, sys)
 		}
 		sh.systems = make(map[string]*SafeSystem)
+		sh.residents = make(map[*SafeSystem]struct{})
 		sh.mu.Unlock()
 		for _, sys := range dropped {
 			if sys.detach() {
@@ -356,6 +356,7 @@ func (d *Directory) ResetShardReplicated(shard int, recs []journal.Record) error
 		dropped = append(dropped, sys)
 	}
 	sh.systems = make(map[string]*SafeSystem)
+	sh.residents = make(map[*SafeSystem]struct{})
 	sh.mu.Unlock()
 	for _, sys := range dropped {
 		if sys.detach() {

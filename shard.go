@@ -94,6 +94,13 @@ type dirShard struct {
 	clock atomic.Int64
 	// resident counts materialized (non-parked) systems in this shard.
 	resident atomic.Int64
+	// residents is the set of materialized handles, the only candidates
+	// eviction scans; guarded by mu. It is updated only where no handle
+	// lock is held (creation, admit, the eviction loop and the drop
+	// paths), so the shard -> SafeSystem order holds. Between a
+	// handle's rebuild and its admit, resident already counts it and
+	// the set does not yet hold it.
+	residents map[*SafeSystem]struct{}
 	// maxResident, when positive, is this shard's share of the
 	// directory-wide resident bound.
 	maxResident int64
@@ -123,6 +130,7 @@ func (d *Directory) initShards() {
 			d:           d,
 			id:          i,
 			systems:     make(map[string]*SafeSystem),
+			residents:   make(map[*SafeSystem]struct{}),
 			maxResident: perShard,
 		}
 	}
@@ -311,6 +319,25 @@ func (sh *dirShard) parkedEntry(name string) (*SafeSystem, error) {
 	return sys, nil
 }
 
+// admit records a handle that has just materialized in the resident
+// set — unless it left the shard meanwhile — and runs the eviction
+// sweep. It runs from the unlock rlock/wlock return, after the handle
+// lock is released.
+func (sh *dirShard) admit(s *SafeSystem) {
+	sh.markResident(s)
+	sh.maybeEvict(s)
+}
+
+// markResident adds a resident handle to the resident set if the shard
+// still owns it.
+func (sh *dirShard) markResident(s *SafeSystem) {
+	sh.mu.Lock()
+	if sh.systems[s.user] == s {
+		sh.residents[s] = struct{}{}
+	}
+	sh.mu.Unlock()
+}
+
 // maybeEvict parks least-recently-used idle systems until the shard is
 // back under its resident bound. It only ever uses TryLock on victim
 // handles, so it cannot deadlock against readers or against the caller
@@ -323,8 +350,12 @@ func (sh *dirShard) maybeEvict(keep *SafeSystem) {
 		return
 	}
 	for sh.resident.Load() > sh.maxResident {
-		victim := sh.coldest(keep)
-		if victim == nil || !victim.tryPark() {
+		victim := sh.takeColdest(keep)
+		if victim == nil {
+			return
+		}
+		if !victim.tryPark() {
+			sh.markResident(victim) // still resident: return it to the set
 			return
 		}
 		sh.evictions.Inc()
@@ -332,14 +363,17 @@ func (sh *dirShard) maybeEvict(keep *SafeSystem) {
 	}
 }
 
-// coldest returns the resident system with the oldest LRU stamp,
-// excluding keep (the handle the caller is actively using).
-func (sh *dirShard) coldest(keep *SafeSystem) *SafeSystem {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+// takeColdest removes and returns the idle resident system with the
+// oldest LRU stamp, excluding keep (the handle the caller is actively
+// using). Taking the victim out of the set before parking it means no
+// concurrent sweep can pick it too, and a handle that rematerializes
+// right after the park is simply admitted again.
+func (sh *dirShard) takeColdest(keep *SafeSystem) *SafeSystem {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	var victim *SafeSystem
 	var oldest int64
-	for _, sys := range sh.systems {
+	for sys := range sh.residents {
 		if sys == keep || !sys.residentHint() {
 			continue
 		}
@@ -347,5 +381,6 @@ func (sh *dirShard) coldest(keep *SafeSystem) *SafeSystem {
 			victim, oldest = sys, stamp
 		}
 	}
+	delete(sh.residents, victim)
 	return victim
 }
