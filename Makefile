@@ -25,7 +25,7 @@ bench:
 # Tier-1 benchmarks as machine-readable JSON, for diffing in CI.
 # Parameterized by PR so each PR's numbers land in their own file
 # instead of silently overwriting the previous baseline.
-BENCH_PR ?= PR12
+BENCH_PR ?= PR13
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 # The paired tracing benchmark runs in its own pass with a long fixed
 # iteration count: its overhead_% metric compares two loopback-HTTP

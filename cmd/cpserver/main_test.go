@@ -311,12 +311,22 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 	// While draining, readiness reports 503 (new connections are still
 	// accepted until Shutdown closes the listener, so this may race with
-	// the listener closing; either observation is a pass).
-	if resp, err := http.Get(base + "/readyz"); err == nil {
+	// the listener closing; either observation is a pass). The serve
+	// loop observes the cancellation asynchronously, so a probe that
+	// lands before it still sees "ready"; poll until the drain shows.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			break
+		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
 			t.Errorf("readyz during drain = %d %s", resp.StatusCode, body)
+			break
 		}
 	}
 

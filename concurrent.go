@@ -3,6 +3,7 @@ package contextpref
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -248,6 +249,11 @@ func (s *SafeSystem) appendParked(r journal.Record) error {
 	if s.sys != nil {
 		return applyRecord(s.sys, r)
 	}
+	// r's strings are substrings of the journal or snapshot text it was
+	// parsed from: archived as-is, one record would keep all of that
+	// text alive.
+	r.User = s.user
+	r.Line = strings.Clone(r.Line)
 	s.parked = append(s.parked, r)
 	return nil
 }

@@ -95,10 +95,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,6 +115,11 @@ type Server struct {
 	directory   *contextpref.Directory  // multi-user mode
 	environment *contextpref.Environment
 	mux         *http.ServeMux
+
+	// values[i] is the JSON array of the i-th tuple's column values in
+	// the relation every query ranks, rendered when the server was
+	// built: relations are append-only and tuples immutable.
+	values [][]byte
 
 	sem      chan struct{} // nil = unlimited
 	draining atomic.Bool
@@ -244,6 +251,7 @@ func New(sys *contextpref.System, opts ...ServerOption) (*Server, error) {
 	s := &Server{
 		single:      contextpref.Synchronized(sys),
 		environment: sys.Env(),
+		values:      renderRelation(sys.Relation()),
 	}
 	s.init(opts)
 	return s, nil
@@ -256,7 +264,7 @@ func NewMultiUser(dir *contextpref.Directory, opts ...ServerOption) (*Server, er
 	if dir == nil {
 		return nil, fmt.Errorf("httpapi: nil directory")
 	}
-	s := &Server{directory: dir, environment: dir.Env()}
+	s := &Server{directory: dir, environment: dir.Env(), values: renderRelation(dir.Relation())}
 	s.init(opts)
 	return s, nil
 }
@@ -643,10 +651,22 @@ func (s *Server) writeCtxError(w http.ResponseWriter, err error) bool {
 
 // writeJSON sends a JSON response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	//cpvet:ignore structerr writeJSON is the single blessed WriteHeader call site; every response funnels through it
-	w.WriteHeader(status)
+	writeJSONHeader(w, status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeJSONBytes sends a response body already encoded as JSON.
+func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
+	writeJSONHeader(w, status)
+	_, _ = w.Write(body)
+}
+
+// writeJSONHeader starts a JSON response for writeJSON and
+// writeJSONBytes.
+func writeJSONHeader(w http.ResponseWriter, status int) {
+	w.Header().Set("Content-Type", "application/json")
+	//cpvet:ignore structerr writeJSONHeader is the single blessed WriteHeader call site; every response funnels through writeJSON or writeJSONBytes
+	w.WriteHeader(status)
 }
 
 // writeError sends a structured JSON error with a machine-readable
@@ -901,21 +921,118 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", err)
 		return
 	}
-	resp := QueryResponse{Contextual: res.Contextual}
+	bp := respBufs.Get().(*[]byte)
+	body, ok := s.appendQueryResponse((*bp)[:0], res)
+	if !ok {
+		// A non-finite score: json.Encoder refuses the whole value after
+		// the header is out, so the answer is a 200 with no body.
+		body = body[:0]
+	}
+	writeJSONBytes(w, http.StatusOK, body)
+	if cap(body) <= maxPooledResp {
+		*bp = body
+		respBufs.Put(bp)
+	}
+}
+
+// respBufs recycles /query response buffers; one larger than
+// maxPooledResp is left to the collector instead.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 64 << 10
+
+// appendQueryResponse appends the /query answer for res to dst, byte
+// for byte what json.Encoder writes for the equivalent QueryResponse,
+// trailing newline included. ok is false if a score is not finite,
+// which encoding/json refuses to encode.
+func (s *Server) appendQueryResponse(dst []byte, res *contextpref.Result) (_ []byte, ok bool) {
+	dst = append(dst, `{"contextual":`...)
+	dst = strconv.AppendBool(dst, res.Contextual)
+	matched := 0
 	for _, rl := range res.Resolutions {
-		if rl.Found {
-			resp.Matched = append(resp.Matched,
-				fmt.Sprintf("%s @ %.3f", rl.Match.State, rl.Match.Distance))
+		if !rl.Found {
+			continue
+		}
+		if matched == 0 {
+			dst = append(dst, `,"matched":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		matched++
+		m, _ := json.Marshal(fmt.Sprintf("%s @ %.3f", rl.Match.State, rl.Match.Distance))
+		dst = append(dst, m...)
+	}
+	if matched > 0 {
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"tuples":`...)
+	if len(res.Tuples) == 0 {
+		dst = append(dst, "null"...)
+	}
+	for i, t := range res.Tuples {
+		if i == 0 {
+			dst = append(dst, '[')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"score":`...)
+		if dst, ok = appendJSONFloat(dst, t.Score); !ok {
+			return dst, false
+		}
+		dst = append(dst, `,"values":`...)
+		if t.Index < len(s.values) {
+			dst = append(dst, s.values[t.Index]...)
+		} else {
+			dst = append(dst, renderValues(t.Tuple)...)
+		}
+		dst = append(dst, '}')
+	}
+	if len(res.Tuples) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, "}\n"...), true
+}
+
+// renderRelation renders the values of every tuple of rel.
+func renderRelation(rel *contextpref.Relation) [][]byte {
+	out := make([][]byte, rel.Len())
+	for i := range out {
+		out[i] = renderValues(rel.Tuple(i))
+	}
+	return out
+}
+
+// renderValues renders a tuple's QueryTuple.Values: its column values
+// as strings, in schema order, as a JSON array.
+func renderValues(t contextpref.Tuple) []byte {
+	vals := make([]string, len(t))
+	for i, v := range t {
+		vals[i] = v.String()
+	}
+	b, _ := json.Marshal(vals)
+	return b
+}
+
+// appendJSONFloat appends f as encoding/json encodes a float64: the
+// shortest representation, in exponent form below 1e-6 and from 1e21
+// on, with a one-digit negative exponent unpadded (1e-07 → 1e-7). ok is
+// false for NaN and ±Inf, which JSON cannot represent.
+func appendJSONFloat(dst []byte, f float64) (_ []byte, ok bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
 		}
 	}
-	for _, t := range res.Tuples {
-		vals := make([]string, len(t.Tuple))
-		for i, v := range t.Tuple {
-			vals[i] = v.String()
-		}
-		resp.Tuples = append(resp.Tuples, QueryTuple{Score: t.Score, Values: vals})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return dst, true
 }
 
 // ResolveCandidate is one covering state in GET /resolve.

@@ -7,6 +7,7 @@
 package ctxmodel
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -127,6 +128,61 @@ const stateSep = "\x1f"
 // Key returns a canonical string form usable as a map key.
 func (s State) Key() string { return strings.Join(s, stateSep) }
 
+// CompareKey orders two states of one environment exactly as
+// strings.Compare orders their Key() renderings, without building
+// either key: components equal in both states are skipped whole, and
+// from the first differing one the two renderings are compared byte by
+// byte, separators included.
+func (s State) CompareKey(t State) int {
+	for k := 0; k < len(s) && k < len(t); k++ {
+		if s[k] == t[k] {
+			continue
+		}
+		a, b := keyCursor{s: s, k: k}, keyCursor{s: t, k: k}
+		for {
+			x, okx := a.next()
+			y, oky := b.next()
+			if !okx || !oky {
+				return cmp.Compare(remaining(okx), remaining(oky))
+			}
+			if x != y {
+				return cmp.Compare(x, y)
+			}
+		}
+	}
+	return cmp.Compare(len(s), len(t))
+}
+
+// keyCursor streams the bytes of a state's Key() from component k on.
+type keyCursor struct {
+	s    State
+	k, i int // component, byte within it
+}
+
+// next returns the cursor's next key byte, or false past the key's end.
+func (c *keyCursor) next() (byte, bool) {
+	if c.k >= len(c.s) {
+		return 0, false
+	}
+	if v := c.s[c.k]; c.i < len(v) {
+		c.i++
+		return v[c.i-1], true
+	}
+	c.k, c.i = c.k+1, 0
+	if c.k == len(c.s) {
+		return 0, false
+	}
+	return stateSep[0], true
+}
+
+// remaining ranks an exhausted key before one with bytes left.
+func remaining(ok bool) int {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
 // StateFromKey reconstructs a state from a Key().
 func StateFromKey(k string) State { return State(strings.Split(k, stateSep)) }
 
@@ -152,14 +208,8 @@ func (s State) String() string { return "(" + strings.Join(s, ", ") + ")" }
 // NewState validates values against the environment's extended domains
 // and returns them as a state.
 func (e *Environment) NewState(values ...string) (State, error) {
-	if len(values) != len(e.params) {
-		return nil, fmt.Errorf("ctxmodel: state has %d values, environment has %d parameters",
-			len(values), len(e.params))
-	}
-	for i, v := range values {
-		if !e.params[i].h.Contains(v) {
-			return nil, fmt.Errorf("ctxmodel: value %q not in edom(%s)", v, e.params[i].name)
-		}
+	if err := e.Validate(values); err != nil {
+		return nil, err
 	}
 	return State(append([]string(nil), values...)), nil
 }
@@ -173,10 +223,19 @@ func (e *Environment) AllState() State {
 	return s
 }
 
-// Validate checks that s is a well-formed state of this environment.
+// Validate checks that s is a well-formed state of this environment,
+// without copying it.
 func (e *Environment) Validate(s State) error {
-	_, err := e.NewState(s...)
-	return err
+	if len(s) != len(e.params) {
+		return fmt.Errorf("ctxmodel: state has %d values, environment has %d parameters",
+			len(s), len(e.params))
+	}
+	for i, v := range s {
+		if !e.params[i].h.Contains(v) {
+			return fmt.Errorf("ctxmodel: value %q not in edom(%s)", v, e.params[i].name)
+		}
+	}
+	return nil
 }
 
 // LevelsOf implements Def. 13: the hierarchy level index of each value

@@ -103,28 +103,22 @@ func (Jaccard) ValueDistance(e *ctxmodel.Environment, param int, v1, v2 string) 
 }
 
 // JaccardValue computes the Def. 16 distance between two values of the
-// i-th parameter's hierarchy.
+// i-th parameter's hierarchy. Descendant sets are runs of the detailed
+// order (hierarchy.Span), so their intersection is the overlap of the
+// two runs and |desc(v1) ∪ desc(v2)| = |desc(v1)| + |desc(v2)| − that
+// overlap: exact for every pair of values, with no set built.
 func JaccardValue(e *ctxmodel.Environment, param int, v1, v2 string) (float64, error) {
 	h := e.Param(param).Hierarchy()
-	d1, err := h.Descendants(v1)
-	if err != nil {
-		return 0, fmt.Errorf("distance: %w", err)
+	s1, ok := h.SpanOf(v1)
+	if !ok {
+		return 0, fmt.Errorf("distance: hierarchy %s: unknown value %q", h.Name(), v1)
 	}
-	d2, err := h.Descendants(v2)
-	if err != nil {
-		return 0, fmt.Errorf("distance: %w", err)
+	s2, ok := h.SpanOf(v2)
+	if !ok {
+		return 0, fmt.Errorf("distance: hierarchy %s: unknown value %q", h.Name(), v2)
 	}
-	set1 := make(map[string]bool, len(d1))
-	for _, v := range d1 {
-		set1[v] = true
-	}
-	inter := 0
-	for _, v := range d2 {
-		if set1[v] {
-			inter++
-		}
-	}
-	union := len(d1) + len(d2) - inter
+	inter := s1.Overlap(s2)
+	union := s1.Len() + s2.Len() - inter
 	if union == 0 {
 		// Cannot happen for well-formed hierarchies: every value has at
 		// least one detailed descendant.

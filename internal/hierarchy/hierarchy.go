@@ -36,8 +36,8 @@ type Hierarchy struct {
 	name   string
 	levels []string // level names, detailed first, LevelAll last
 
-	levelIndex map[string]int // level name -> index
-	valueLevel map[string]int // value -> level index
+	levelIndex map[string]int  // level name -> index
+	spans      map[string]Span // value -> level and detailed-rank interval
 	parent     map[string]string
 	children   map[string][]string // value -> ordered children (next level down)
 	valuesAt   [][]string          // per level, values in insertion order
@@ -69,14 +69,52 @@ func (h *Hierarchy) LevelIndex(name string) (int, bool) {
 // Contains reports whether v belongs to the extended domain of the
 // hierarchy, i.e. to the domain of any level including ALL.
 func (h *Hierarchy) Contains(v string) bool {
-	_, ok := h.valueLevel[v]
+	_, ok := h.spans[v]
 	return ok
 }
 
 // LevelOf returns the index of the level the value belongs to.
 func (h *Hierarchy) LevelOf(v string) (int, bool) {
-	l, ok := h.valueLevel[v]
-	return l, ok
+	sp, ok := h.spans[v]
+	return int(sp.Level), ok
+}
+
+// Span is a value's place in the interval encoding of its hierarchy:
+// its level index and the run [Lo, Hi) of detailed-level ranks its
+// descendants occupy. Monotone anc functions (condition 3, checked by
+// Build) make every desc set a contiguous run of the detailed order, so
+// the run names desc(v) exactly and Hi-Lo = |desc(v)|.
+//
+// Profile trees keep one Span per cell, so its fields are 32-bit.
+type Span struct {
+	// Level is the value's level index, detailed = 0.
+	Level int32
+	// Lo and Hi bound the run: desc(v) holds the detailed values of
+	// ranks Lo through Hi-1.
+	Lo, Hi int32
+}
+
+// Len returns |desc(v)|, the number of detailed descendants.
+func (s Span) Len() int { return int(s.Hi - s.Lo) }
+
+// Covers reports whether the value spanned by s equals or is an
+// ancestor of the value spanned by o: it sits at the same or a higher
+// level and its descendants include o's. Same-level runs are disjoint,
+// so at equal levels containment means equality.
+func (s Span) Covers(o Span) bool {
+	return s.Level >= o.Level && s.Lo <= o.Lo && o.Hi <= s.Hi
+}
+
+// Overlap returns |desc(s) ∩ desc(o)|, the length of the intersection
+// of the two runs.
+func (s Span) Overlap(o Span) int {
+	return int(max(0, min(s.Hi, o.Hi)-max(s.Lo, o.Lo)))
+}
+
+// SpanOf returns the value's interval-encoding record.
+func (h *Hierarchy) SpanOf(v string) (Span, bool) {
+	sp, ok := h.spans[v]
+	return sp, ok
 }
 
 // ValuesAt returns the domain of the level with index i, in the total
@@ -92,12 +130,12 @@ func (h *Hierarchy) DetailedValues() []string { return h.ValuesAt(0) }
 
 // ExtendedDomainSize returns |edom(C)|, the total number of values
 // across all levels including "all".
-func (h *Hierarchy) ExtendedDomainSize() int { return len(h.valueLevel) }
+func (h *Hierarchy) ExtendedDomainSize() int { return len(h.spans) }
 
 // ExtendedDomain returns every value of every level, detailed level
 // first, ALL last.
 func (h *Hierarchy) ExtendedDomain() []string {
-	out := make([]string, 0, len(h.valueLevel))
+	out := make([]string, 0, len(h.spans))
 	for i := range h.levels {
 		out = append(out, h.valuesAt[i]...)
 	}
@@ -125,7 +163,7 @@ func (h *Hierarchy) Children(v string) []string {
 // It returns an error if v is unknown or target is below v's own level.
 // Anc(v, level(v)) is v itself (the identity composition).
 func (h *Hierarchy) Anc(v string, target int) (string, error) {
-	lv, ok := h.valueLevel[v]
+	lv, ok := h.LevelOf(v)
 	if !ok {
 		return "", fmt.Errorf("hierarchy %s: unknown value %q", h.name, v)
 	}
@@ -143,7 +181,7 @@ func (h *Hierarchy) Anc(v string, target int) (string, error) {
 // DescAt returns the desc set of v at the given lower (or equal) level
 // index, in level order. DescAt(v, level(v)) is {v}.
 func (h *Hierarchy) DescAt(v string, target int) ([]string, error) {
-	lv, ok := h.valueLevel[v]
+	lv, ok := h.LevelOf(v)
 	if !ok {
 		return nil, fmt.Errorf("hierarchy %s: unknown value %q", h.name, v)
 	}
@@ -171,27 +209,21 @@ func (h *Hierarchy) Descendants(v string) ([]string, error) {
 
 // IsAncestorOrSelf reports whether a = v or a is an ancestor of v at
 // some higher level (a = anc(v) for some pair of levels). This is the
-// per-parameter ingredient of the covers relation (Def. 10).
+// per-parameter ingredient of the covers relation (Def. 10), answered
+// from the interval encoding without walking anc.
 func (h *Hierarchy) IsAncestorOrSelf(a, v string) bool {
-	la, ok := h.valueLevel[a]
+	sa, ok := h.spans[a]
 	if !ok {
 		return false
 	}
-	lv, ok := h.valueLevel[v]
-	if !ok {
-		return false
-	}
-	if la < lv {
-		return false
-	}
-	anc, err := h.Anc(v, la)
-	return err == nil && anc == a
+	sv, ok := h.spans[v]
+	return ok && sa.Covers(sv)
 }
 
 // Ancestors returns v followed by each of its ancestors up to and
 // including "all", ordered from v's own level upward.
 func (h *Hierarchy) Ancestors(v string) ([]string, error) {
-	lv, ok := h.valueLevel[v]
+	lv, ok := h.LevelOf(v)
 	if !ok {
 		return nil, fmt.Errorf("hierarchy %s: unknown value %q", h.name, v)
 	}
@@ -226,8 +258,8 @@ func (h *Hierarchy) Rank(v string) (int, bool) {
 // level's total order, implementing range descriptors (Def. 1, case 3).
 // Both endpoints must belong to the same level.
 func (h *Hierarchy) Range(v1, v2 string) ([]string, error) {
-	l1, ok1 := h.valueLevel[v1]
-	l2, ok2 := h.valueLevel[v2]
+	l1, ok1 := h.LevelOf(v1)
+	l2, ok2 := h.LevelOf(v2)
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("hierarchy %s: unknown range endpoint in [%s, %s]", h.name, v1, v2)
 	}
@@ -327,7 +359,7 @@ func (b *Builder) Build() (*Hierarchy, error) {
 		name:       b.name,
 		levels:     append(append([]string(nil), b.levels...), LevelAll),
 		levelIndex: make(map[string]int, n),
-		valueLevel: make(map[string]int),
+		spans:      make(map[string]Span),
 		parent:     make(map[string]string),
 		children:   make(map[string][]string),
 		valuesAt:   make([][]string, n),
@@ -336,7 +368,7 @@ func (b *Builder) Build() (*Hierarchy, error) {
 	for i, l := range h.levels {
 		h.levelIndex[l] = i
 	}
-	h.valueLevel[All] = n - 1
+	h.spans[All] = Span{Level: int32(n - 1)}
 	h.valuesAt[n-1] = []string{All}
 	h.rank[All] = 0
 
@@ -347,7 +379,7 @@ func (b *Builder) Build() (*Hierarchy, error) {
 			if i+1 < len(path) {
 				wantParent = path[i+1]
 			}
-			if lv, ok := h.valueLevel[v]; ok {
+			if lv, ok := h.LevelOf(v); ok {
 				if lv != i {
 					return nil, fmt.Errorf("hierarchy %s: value %q appears at levels %s and %s",
 						b.name, v, h.levels[lv], h.levels[i])
@@ -361,7 +393,7 @@ func (b *Builder) Build() (*Hierarchy, error) {
 				}
 				continue
 			}
-			h.valueLevel[v] = i
+			h.spans[v] = Span{Level: int32(i)}
 			h.parent[v] = wantParent
 			h.rank[v] = len(h.valuesAt[i])
 			h.valuesAt[i] = append(h.valuesAt[i], v)
@@ -371,7 +403,25 @@ func (b *Builder) Build() (*Hierarchy, error) {
 	if err := h.validateMonotone(); err != nil {
 		return nil, err
 	}
+	h.encodeIntervals()
 	return h, nil
+}
+
+// encodeIntervals fills in each value's run of detailed ranks: a
+// detailed value spans its own rank, and a higher value spans from its
+// first child's run to its last child's. Children are recorded in rank
+// order and, anc being monotone, form a contiguous run of their level,
+// so the union of their runs is contiguous too.
+func (h *Hierarchy) encodeIntervals() {
+	for r, v := range h.valuesAt[0] {
+		h.spans[v] = Span{Level: 0, Lo: int32(r), Hi: int32(r + 1)}
+	}
+	for l := 1; l < len(h.levels); l++ {
+		for _, v := range h.valuesAt[l] {
+			ch := h.children[v]
+			h.spans[v] = Span{Level: int32(l), Lo: h.spans[ch[0]].Lo, Hi: h.spans[ch[len(ch)-1]].Hi}
+		}
+	}
 }
 
 // validateMonotone checks condition 3 of the paper: for x < y in the

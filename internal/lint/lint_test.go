@@ -113,7 +113,7 @@ func TestRepoShipsClean(t *testing.T) {
 // fail loudly.
 func TestAnchorsPresent(t *testing.T) {
 	anchors := map[string]int{
-		"internal/profiletree/tree.go":       2, // SearchCoverCtx, SearchCoverBestCtx
+		"internal/profiletree/tree.go":       1, // coverWalk.walk, the one Search_CS traversal
 		"internal/profiletree/sequential.go": 1, // SearchCoverCtx
 		"internal/relation/relation.go":      1, // SelectCtx
 		"internal/query/query.go":            1, // ExecuteCtx

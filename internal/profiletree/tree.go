@@ -22,12 +22,15 @@
 package profiletree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"contextpref/internal/ctxmodel"
 	"contextpref/internal/distance"
+	"contextpref/internal/hierarchy"
 	"contextpref/internal/preference"
 	"contextpref/internal/telemetry"
 	"contextpref/internal/tracing"
@@ -60,10 +63,13 @@ type Leaf struct {
 	Score float64
 }
 
-// node is either an internal node (keys/children, parallel slices in
-// insertion order) or a leaf node (entries).
+// node is either an internal node (keys/spans/children, parallel slices
+// in insertion order) or a leaf node (entries). spans[i] is the
+// interval encoding of keys[i], recorded when the cell is created, so
+// Search_CS tests a cell for cover with integer compares alone.
 type node struct {
 	keys     []string
+	spans    []hierarchy.Span
 	children []*node
 	entries  []Leaf
 }
@@ -79,14 +85,16 @@ func (nd *node) find(key string) (*node, int) {
 	return nil, len(nd.keys)
 }
 
-// child returns the child for key, creating it if absent; created
-// reports whether a new cell was added.
-func (nd *node) child(key string) (c *node, created bool) {
+// child returns the child for key, a value of h, creating it if
+// absent; created reports whether a new cell was added.
+func (nd *node) child(key string, h *hierarchy.Hierarchy) (c *node, created bool) {
 	if c, _ := nd.find(key); c != nil {
 		return c, false
 	}
+	sp, _ := h.SpanOf(key)
 	c = &node{}
 	nd.keys = append(nd.keys, key)
+	nd.spans = append(nd.spans, sp)
 	nd.children = append(nd.children, c)
 	return c, true
 }
@@ -282,25 +290,6 @@ func leafEntryBytes(e Leaf) int {
 	return len(e.Clause.Attr) + len(e.Clause.Val.String()) + ScoreBytes
 }
 
-// toTreeOrder converts a state from environment order to tree-level
-// order.
-func (t *Tree) toTreeOrder(s ctxmodel.State) []string {
-	out := make([]string, len(s))
-	for level, param := range t.order {
-		out[level] = s[param]
-	}
-	return out
-}
-
-// toEnvOrder converts a tree-level path back to environment order.
-func (t *Tree) toEnvOrder(path []string) ctxmodel.State {
-	out := make(ctxmodel.State, len(path))
-	for level, param := range t.order {
-		out[param] = path[level]
-	}
-	return out
-}
-
 // Insert adds every context state of the preference's descriptor to the
 // tree (Section 3.3). Conflicts (Def. 6) are detected during insertion
 // by traversing each state's root-to-leaf path first: if any state
@@ -325,7 +314,7 @@ func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) 
 		return nil, err
 	}
 	for _, s := range states {
-		if leafNode, _, _ := t.descendExact(s); leafNode != nil {
+		if leafNode, _ := t.descendExact(s); leafNode != nil {
 			for _, e := range leafNode.entries {
 				if e.Clause.Equal(p.Clause) && e.Score != p.Score {
 					return nil, &preference.ConflictError{
@@ -405,11 +394,10 @@ func (t *Tree) InsertAll(ps ...preference.Preference) error {
 // passed.
 func (t *Tree) applyInsert(p preference.Preference, states []ctxmodel.State) {
 	for _, s := range states {
-		path := t.toTreeOrder(s)
 		nd := t.root
-		for _, key := range path {
+		for _, param := range t.order {
 			var created bool
-			nd, created = nd.child(key)
+			nd, created = nd.child(s[param], t.env.Param(param).Hierarchy())
 			if created {
 				t.numInternalCells++
 			}
@@ -451,8 +439,7 @@ func (t *Tree) Delete(p preference.Preference) (int, error) {
 	}
 	removed := 0
 	for _, s := range states {
-		path := t.toTreeOrder(s)
-		if t.deletePath(t.root, path, 0, p) {
+		if t.deletePath(t.root, s, 0, p) {
 			removed++
 		}
 	}
@@ -466,10 +453,10 @@ func (t *Tree) Delete(p preference.Preference) (int, error) {
 	return removed, nil
 }
 
-// deletePath removes the entry along one path, pruning empty nodes
-// bottom-up; it reports whether an entry was removed.
-func (t *Tree) deletePath(nd *node, path []string, level int, p preference.Preference) bool {
-	if level == len(path) {
+// deletePath removes the entry along the state's path, pruning empty
+// nodes bottom-up; it reports whether an entry was removed.
+func (t *Tree) deletePath(nd *node, s ctxmodel.State, level int, p preference.Preference) bool {
+	if level == len(t.order) {
 		for i, e := range nd.entries {
 			if e.Clause.Equal(p.Clause) && e.Score == p.Score {
 				nd.entries = append(nd.entries[:i], nd.entries[i+1:]...)
@@ -483,17 +470,18 @@ func (t *Tree) deletePath(nd *node, path []string, level int, p preference.Prefe
 		return false
 	}
 	for i, key := range nd.keys {
-		if key != path[level] {
+		if key != s[t.order[level]] {
 			continue
 		}
 		child := nd.children[i]
-		if !t.deletePath(child, path, level+1, p) {
+		if !t.deletePath(child, s, level+1, p) {
 			return false
 		}
 		// Prune the cell if the child holds nothing anymore.
 		if len(child.keys) == 0 && len(child.entries) == 0 {
-			nd.keys = append(nd.keys[:i], nd.keys[i+1:]...)
-			nd.children = append(nd.children[:i], nd.children[i+1:]...)
+			nd.keys = slices.Delete(nd.keys, i, i+1)
+			nd.spans = slices.Delete(nd.spans, i, i+1)
+			nd.children = slices.Delete(nd.children, i, i+1)
 			t.numInternalCells--
 		}
 		return true
@@ -509,19 +497,18 @@ func (t *Tree) InsertProfile(pr *preference.Profile) error {
 
 // descendExact follows the exact path for a state, returning the leaf
 // node (nil if the path is absent) and the number of cells accessed.
-func (t *Tree) descendExact(s ctxmodel.State) (*node, int, bool) {
-	path := t.toTreeOrder(s)
+func (t *Tree) descendExact(s ctxmodel.State) (*node, int) {
 	nd := t.root
 	accesses := 0
-	for _, key := range path {
-		child, scanned := nd.find(key)
+	for _, param := range t.order {
+		child, scanned := nd.find(s[param])
 		accesses += scanned
 		if child == nil {
-			return nil, accesses, false
+			return nil, accesses
 		}
 		nd = child
 	}
-	return nd, accesses, true
+	return nd, accesses
 }
 
 // SearchExact looks up the exact context state (the first case of the
@@ -532,8 +519,8 @@ func (t *Tree) SearchExact(s ctxmodel.State) ([]Leaf, int, error) {
 	if err := t.env.Validate(s); err != nil {
 		return nil, 0, err
 	}
-	nd, accesses, ok := t.descendExact(s)
-	if !ok {
+	nd, accesses := t.descendExact(s)
+	if nd == nil {
 		return nil, accesses, nil
 	}
 	return append([]Leaf(nil), nd.entries...), accesses, nil
@@ -557,29 +544,164 @@ type Candidate struct {
 	Specificity int
 }
 
-// specificity computes the candidate-state cardinality.
+// specificity computes the candidate-state cardinality: the product of
+// its values' descendant-run lengths.
 func specificity(e *ctxmodel.Environment, s ctxmodel.State) int {
 	total := 1
 	for i, v := range s {
-		if ds, err := e.Param(i).Hierarchy().Descendants(v); err == nil {
-			total *= len(ds)
+		if sp, ok := e.Param(i).Hierarchy().SpanOf(v); ok {
+			total *= sp.Len()
 		}
 	}
 	return total
+}
+
+// sink selects what a Search_CS walk keeps of the covering leaves it
+// reaches.
+type sink int
+
+const (
+	// keepAll materializes every covering leaf as a Candidate.
+	keepAll sink = iota
+	// keepBest remembers only the (distance, state key)-least covering
+	// leaf and materializes it once the walk is over.
+	keepBest
+	// keepBestPruned is keepBest that also abandons every branch whose
+	// accumulated distance already exceeds the best leaf's.
+	keepBestPruned
+)
+
+// inlineParams is the environment arity up to which a walk keeps its
+// per-parameter buffers on the stack.
+const inlineParams = 8
+
+// coverWalk is one Search_CS traversal of the tree for a validated
+// state. It visits exactly the cells Algorithm 1 visits and hands every
+// covering leaf to its sink.
+type coverWalk struct {
+	ctx  context.Context
+	t    *Tree
+	m    distance.Metric
+	sink sink
+	s    ctxmodel.State // the searched state
+
+	accesses int
+	found    int         // covering leaves reached
+	all      []Candidate // keepAll
+	// best, bestLeaf, bestDist and bestSpec describe the least leaf
+	// so far (keepBest, keepBestPruned).
+	best     ctxmodel.State
+	bestLeaf *node
+	bestDist float64
+	bestSpec int
+}
+
+// search runs one Search_CS walk for the validated state s. The walk's
+// path buffer and the searched values' interval encodings are passed
+// down the recursion rather than held in the walk, so both stay on
+// this frame's stack.
+func (t *Tree) search(ctx context.Context, s ctxmodel.State, m distance.Metric, sk sink) (coverWalk, error) {
+	var curBuf [inlineParams]string
+	var targetBuf [inlineParams]hierarchy.Span
+	cur, target := curBuf[:0], targetBuf[:0]
+	for i, v := range s {
+		sp, _ := t.env.Param(i).Hierarchy().SpanOf(v)
+		cur = append(cur, "")
+		target = append(target, sp)
+	}
+	w := coverWalk{ctx: ctx, t: t, m: m, sink: sk, s: s}
+	err := w.walk(t.root, 0, 0, 1, cur, target)
+	return w, err
+}
+
+// walk implements Algorithm 1 below nd. At each level it follows both
+// the cell that exactly matches the searched value and every cell
+// holding an ancestor of it (including "all"); a cell covers the value
+// when its interval encoding contains the value's (target, in
+// environment order). The paper's pseudocode phrases these as exclusive
+// branches; following both is required for correctness when the exact
+// branch dead-ends deeper in the tree while an ancestor branch reaches
+// a leaf, and matches the paper's own cost analysis which charges for
+// all "cells that have relevant values from the upper levels". dist
+// and spec are the accumulated distance and specificity of the path so
+// far, and cur holds its keys in environment order.
+//
+//cpvet:scanloop
+func (w *coverWalk) walk(nd *node, level int, dist float64, spec int, cur ctxmodel.State, target []hierarchy.Span) error {
+	// Strict inequality: equal-distance paths are still explored so the
+	// key tie-break agrees with Best(SearchCover(...)).
+	if w.sink == keepBestPruned && w.found > 0 && dist > w.bestDist {
+		return nil
+	}
+	if level == len(w.t.order) {
+		if len(nd.entries) > 0 {
+			w.keep(nd, dist, spec, cur)
+		}
+		return nil
+	}
+	param := w.t.order[level]
+	want := target[param]
+	for i, sp := range nd.spans {
+		w.accesses++
+		if w.accesses&(cancelCheckEvery-1) == 0 {
+			if err := w.ctx.Err(); err != nil {
+				return canceled(err)
+			}
+		}
+		if !sp.Covers(want) {
+			continue
+		}
+		d, err := w.m.ValueDistance(w.t.env, param, nd.keys[i], w.s[param])
+		if err != nil {
+			return err
+		}
+		cur[param] = nd.keys[i]
+		if err := w.walk(nd.children[i], level+1, dist+d, spec*sp.Len(), cur, target); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// keep hands one covering leaf, whose state is cur, to the sink.
+func (w *coverWalk) keep(nd *node, dist float64, spec int, cur ctxmodel.State) {
+	w.found++
+	if w.sink == keepAll {
+		w.all = append(w.all, Candidate{
+			State:       cur.Clone(),
+			Entries:     slices.Clone(nd.entries),
+			Distance:    dist,
+			Specificity: spec,
+		})
+		return
+	}
+	if w.found > 1 && !(dist < w.bestDist || dist == w.bestDist && cur.CompareKey(w.best) < 0) {
+		return
+	}
+	if w.best == nil {
+		w.best = make(ctxmodel.State, len(cur))
+	}
+	copy(w.best, cur)
+	w.bestLeaf, w.bestDist, w.bestSpec = nd, dist, spec
+}
+
+// bestCandidate materializes the least covering leaf of a keepBest walk.
+func (w *coverWalk) bestCandidate() (Candidate, bool) {
+	if w.found == 0 {
+		return Candidate{}, false
+	}
+	return Candidate{
+		State:       w.best,
+		Entries:     slices.Clone(w.bestLeaf.entries),
+		Distance:    w.bestDist,
+		Specificity: w.bestSpec,
+	}, true
 }
 
 // SearchCover implements Algorithm 1 (Search_CS): it collects every
 // root-to-leaf path whose context state covers the searched state,
 // annotating each with its distance under the metric, and returns the
 // number of cells accessed.
-//
-// At each level the algorithm follows both the cell that exactly
-// matches the searched value and every cell holding an ancestor of it
-// (including "all"). The paper's pseudocode phrases these as exclusive
-// branches; following both is required for correctness when the exact
-// branch dead-ends deeper in the tree while an ancestor branch reaches
-// a leaf, and matches the paper's own cost analysis which charges for
-// all "cells that have relevant values from the upper levels".
 func (t *Tree) SearchCover(s ctxmodel.State, m distance.Metric) ([]Candidate, int, error) {
 	return t.SearchCoverCtx(context.Background(), s, m)
 }
@@ -590,60 +712,15 @@ func (t *Tree) SearchCover(s ctxmodel.State, m distance.Metric) ([]Candidate, in
 // context.DeadlineExceeded) once the context is done, so a server
 // deadline or a departed client stops the tree walk early instead of
 // running it to completion.
-//
-//cpvet:scanloop
 func (t *Tree) SearchCoverCtx(ctx context.Context, s ctxmodel.State, m distance.Metric) ([]Candidate, int, error) {
 	if err := t.env.Validate(s); err != nil {
 		return nil, 0, err
 	}
-	path := t.toTreeOrder(s)
-	var out []Candidate
-	accesses := 0
-	cur := make([]string, 0, len(path))
-
-	var rec func(nd *node, level int, dist float64) error
-	rec = func(nd *node, level int, dist float64) error {
-		if level == len(path) {
-			if len(nd.entries) > 0 {
-				st := t.toEnvOrder(cur)
-				out = append(out, Candidate{
-					State:       st,
-					Entries:     append([]Leaf(nil), nd.entries...),
-					Distance:    dist,
-					Specificity: specificity(t.env, st),
-				})
-			}
-			return nil
-		}
-		param := t.order[level]
-		h := t.env.Param(param).Hierarchy()
-		for i, key := range nd.keys {
-			accesses++
-			if accesses&(cancelCheckEvery-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return canceled(err)
-				}
-			}
-			if !h.IsAncestorOrSelf(key, path[level]) {
-				continue
-			}
-			d, err := m.ValueDistance(t.env, param, key, path[level])
-			if err != nil {
-				return err
-			}
-			cur = append(cur, key)
-			err = rec(nd.children[i], level+1, dist+d)
-			cur = cur[:len(cur)-1]
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+	w, err := t.search(ctx, s, m, keepAll)
+	if err != nil {
+		return nil, w.accesses, err
 	}
-	if err := rec(t.root, 0, 0); err != nil {
-		return nil, accesses, err
-	}
-	return out, accesses, nil
+	return w.all, w.accesses, nil
 }
 
 // SearchCoverBest is the branch-and-bound variant the paper sketches as
@@ -659,70 +736,16 @@ func (t *Tree) SearchCoverBest(s ctxmodel.State, m distance.Metric) (Candidate, 
 
 // SearchCoverBestCtx is SearchCoverBest with cooperative cancellation,
 // on the same contract as SearchCoverCtx.
-//
-//cpvet:scanloop
 func (t *Tree) SearchCoverBestCtx(ctx context.Context, s ctxmodel.State, m distance.Metric) (Candidate, int, bool, error) {
 	if err := t.env.Validate(s); err != nil {
 		return Candidate{}, 0, false, err
 	}
-	path := t.toTreeOrder(s)
-	var best Candidate
-	found := false
-	accesses := 0
-	cur := make([]string, 0, len(path))
-
-	var rec func(nd *node, level int, dist float64) error
-	rec = func(nd *node, level int, dist float64) error {
-		// Strict inequality: equal-distance paths are still explored so
-		// the specificity tie-break agrees with Best(SearchCover(...)).
-		if found && dist > best.Distance {
-			return nil
-		}
-		if level == len(path) {
-			if len(nd.entries) > 0 {
-				st := t.toEnvOrder(cur)
-				c := Candidate{
-					State:       st,
-					Entries:     append([]Leaf(nil), nd.entries...),
-					Distance:    dist,
-					Specificity: specificity(t.env, st),
-				}
-				if !found || betterCandidate(c, best) {
-					best = c
-					found = true
-				}
-			}
-			return nil
-		}
-		param := t.order[level]
-		h := t.env.Param(param).Hierarchy()
-		for i, key := range nd.keys {
-			accesses++
-			if accesses&(cancelCheckEvery-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return canceled(err)
-				}
-			}
-			if !h.IsAncestorOrSelf(key, path[level]) {
-				continue
-			}
-			d, err := m.ValueDistance(t.env, param, key, path[level])
-			if err != nil {
-				return err
-			}
-			cur = append(cur, key)
-			err = rec(nd.children[i], level+1, dist+d)
-			cur = cur[:len(cur)-1]
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+	w, err := t.search(ctx, s, m, keepBestPruned)
+	if err != nil {
+		return Candidate{}, w.accesses, false, err
 	}
-	if err := rec(t.root, 0, 0); err != nil {
-		return Candidate{}, accesses, false, err
-	}
-	return best, accesses, found, nil
+	best, ok := w.bestCandidate()
+	return best, w.accesses, ok, nil
 }
 
 // Best returns the candidate with the minimum distance (Def. 12's
@@ -754,7 +777,7 @@ func betterCandidate(a, b Candidate) bool {
 	if a.Distance != b.Distance {
 		return a.Distance < b.Distance
 	}
-	return a.State.Key() < b.State.Key()
+	return a.State.CompareKey(b.State) < 0
 }
 
 // Resolve performs full context resolution for one searched state: an
@@ -769,38 +792,39 @@ func (t *Tree) Resolve(s ctxmodel.State, m distance.Metric) (Candidate, int, boo
 // scan aborts (with a wrapped ctx.Err()) once ctx is done. The exact
 // root-to-leaf lookup is a single bounded descent and is not gated. The
 // cells accessed before the abort are still counted into the metrics,
-// so cancellations are observable in cp_resolve_cells_total.
+// so cancellations are observable in cp_resolve_cells_total. The state
+// is validated once, and the cover scan materializes only its winner.
 //
-//cpvet:hotpath allocs=62 cover-query resolution over the real profile with full instrumentation; the budget is today's measurement, move it only with a benchmark
+//cpvet:hotpath allocs=2 cover-query resolution over the real profile with full instrumentation: a resolved query allocates its winner's state and entries, a miss nothing; move it only with a benchmark
 func (t *Tree) ResolveCtx(ctx context.Context, s ctxmodel.State, m distance.Metric) (Candidate, int, bool, error) {
 	ctx, sp := tracing.Start(ctx, "profiletree.resolve")
 	defer sp.End()
-	entries, accesses, err := t.SearchExact(s)
-	if err != nil {
+	if err := t.env.Validate(s); err != nil {
 		sp.Fail(err)
 		return Candidate{}, 0, false, err
 	}
-	if len(entries) > 0 {
+	nd, accesses := t.descendExact(s)
+	if nd != nil && len(nd.entries) > 0 {
 		t.metrics.observe(accesses, 1, true)
 		sp.SetInt("cells", int64(accesses))
 		sp.SetBool("exact", true)
 		sp.SetBool("hit", true)
-		return Candidate{State: s.Clone(), Entries: entries, Distance: 0}, accesses, true, nil
+		return Candidate{State: s.Clone(), Entries: slices.Clone(nd.entries), Distance: 0}, accesses, true, nil
 	}
-	cands, more, err := t.SearchCoverCtx(ctx, s, m)
-	accesses += more
+	w, err := t.search(ctx, s, m, keepBest)
+	accesses += w.accesses
 	if err != nil {
-		t.metrics.observe(accesses, len(cands), false)
+		t.metrics.observe(accesses, 0, false)
 		sp.Fail(err)
 		return Candidate{}, accesses, false, err
 	}
-	best, ok := Best(cands)
-	t.metrics.observe(accesses, len(cands), ok)
+	best, ok := w.bestCandidate()
+	t.metrics.observe(accesses, w.found, ok)
 	// The paper's Section 5 cost model, per request: cells visited by
 	// the Search_CS scan, covering candidates found, and the winning
 	// cover's hierarchy distance and specificity.
 	sp.SetInt("cells", int64(accesses))
-	sp.SetInt("candidates", int64(len(cands)))
+	sp.SetInt("candidates", int64(w.found))
 	sp.SetBool("hit", ok)
 	if ok {
 		sp.SetFloat("distance", best.Distance)
@@ -832,15 +856,14 @@ func (t *Tree) ResolveAllCtx(ctx context.Context, s ctxmodel.State, m distance.M
 	t.metrics.observe(accesses, len(cands), len(cands) > 0)
 	sp.SetInt("cells", int64(accesses))
 	sp.SetInt("candidates", int64(len(cands)))
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.Distance != b.Distance {
-			return a.Distance < b.Distance
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+			return c
 		}
-		if a.Specificity != b.Specificity {
-			return a.Specificity < b.Specificity
+		if c := cmp.Compare(a.Specificity, b.Specificity); c != 0 {
+			return c
 		}
-		return a.State.Key() < b.State.Key()
+		return a.State.CompareKey(b.State)
 	})
 	return cands, accesses, nil
 }
@@ -850,25 +873,21 @@ func (t *Tree) ResolveAllCtx(ctx context.Context, s ctxmodel.State, m distance.M
 // diagnostics and serialization.
 func (t *Tree) Paths() []Candidate {
 	var out []Candidate
-	cur := make([]string, 0, len(t.order))
-	var rec func(nd *node)
-	rec = func(nd *node) {
-		if len(cur) == len(t.order) {
+	cur := make(ctxmodel.State, len(t.order))
+	var rec func(nd *node, level int)
+	rec = func(nd *node, level int) {
+		if level == len(t.order) {
 			if len(nd.entries) > 0 {
-				out = append(out, Candidate{
-					State:   t.toEnvOrder(cur),
-					Entries: append([]Leaf(nil), nd.entries...),
-				})
+				out = append(out, Candidate{State: cur.Clone(), Entries: slices.Clone(nd.entries)})
 			}
 			return
 		}
 		for i, key := range nd.keys {
-			cur = append(cur, key)
-			rec(nd.children[i])
-			cur = cur[:len(cur)-1]
+			cur[t.order[level]] = key
+			rec(nd.children[i], level+1)
 		}
 	}
-	rec(t.root)
+	rec(t.root, 0)
 	return out
 }
 

@@ -122,25 +122,17 @@ func (c *Cache) countCells(nd *node) int {
 	return total
 }
 
-func (c *Cache) path(s ctxmodel.State) []string {
-	out := make([]string, len(s))
-	for level, param := range c.order {
-		out[level] = s[param]
-	}
-	return out
-}
-
 // Get returns the cached result and its resolution for the exact
 // context state.
 //
-//cpvet:hotpath allocs=2 one path slice from c.path plus Validate's bookkeeping; a hit must never copy the cached tuples
+//cpvet:hotpath allocs=0 the trie descent reads the state in level order in place; a hit must never copy the cached tuples
 func (c *Cache) Get(s ctxmodel.State) ([]relation.ScoredTuple, query.Resolution, bool, error) {
 	if err := c.env.Validate(s); err != nil {
 		return nil, query.Resolution{}, false, err
 	}
 	nd := c.root
-	for _, key := range c.path(s) {
-		nd = nd.find(key)
+	for _, param := range c.order {
+		nd = nd.find(s[param])
 		if nd == nil {
 			c.stats.Misses++
 			return nil, query.Resolution{}, false, nil
@@ -168,7 +160,8 @@ func (c *Cache) Put(s ctxmodel.State, result []relation.ScoredTuple, resolution 
 		return nil
 	}
 	nd := c.root
-	for _, k := range c.path(s) {
+	for _, param := range c.order {
+		k := s[param]
 		child := nd.find(k)
 		if child == nil {
 			child = &node{}

@@ -1,9 +1,10 @@
 package relation
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -281,36 +282,71 @@ type ScoredTuple struct {
 
 // ResultSet accumulates scored tuple matches and ranks them.
 type ResultSet struct {
-	rel    *Relation
-	scores map[int][]float64
+	rel *Relation
+	// matches holds every Add in call order. Ranking stable-sorts it by
+	// tuple index, so each tuple's scores form one run still in the
+	// order they were added.
+	matches []match
+}
+
+// match is one Add: tuple idx matched a preference with this score.
+type match struct {
+	idx   int
+	score float64
 }
 
 // NewResultSet creates an empty result set over a relation.
 func NewResultSet(rel *Relation) *ResultSet {
-	return &ResultSet{rel: rel, scores: make(map[int][]float64)}
+	return &ResultSet{rel: rel}
 }
 
 // Add records that tuple idx matched a preference with the given score.
 func (rs *ResultSet) Add(idx int, score float64) {
-	rs.scores[idx] = append(rs.scores[idx], score)
+	rs.matches = append(rs.matches, match{idx, score})
 }
 
 // Len returns the number of distinct tuples in the result set.
-func (rs *ResultSet) Len() int { return len(rs.scores) }
+func (rs *ResultSet) Len() int {
+	rs.group()
+	return rs.distinct()
+}
+
+// group stable-sorts the matches by tuple index, so each tuple's scores
+// form one run, still in the order they were added.
+func (rs *ResultSet) group() {
+	slices.SortStableFunc(rs.matches, func(a, b match) int { return cmp.Compare(a.idx, b.idx) })
+}
+
+// distinct counts the runs of grouped matches.
+func (rs *ResultSet) distinct() int {
+	n := 0
+	for i := range rs.matches {
+		if i == 0 || rs.matches[i].idx != rs.matches[i-1].idx {
+			n++
+		}
+	}
+	return n
+}
 
 // Ranked returns the distinct tuples ordered by combined score
 // descending; ties break by tuple index ascending so results are
-// deterministic.
+// deterministic. Each tuple's scores reach the combiner in the order
+// they were added.
 func (rs *ResultSet) Ranked(c Combiner) []ScoredTuple {
-	out := make([]ScoredTuple, 0, len(rs.scores))
-	for idx, ss := range rs.scores {
-		out = append(out, ScoredTuple{Index: idx, Tuple: rs.rel.Tuple(idx), Score: c.Combine(ss)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	rs.group()
+	out := make([]ScoredTuple, 0, rs.distinct())
+	var buf [16]float64
+	scores := buf[:0]
+	for i, m := range rs.matches {
+		scores = append(scores, m.score)
+		if i+1 < len(rs.matches) && rs.matches[i+1].idx == m.idx {
+			continue
 		}
-		return out[i].Index < out[j].Index
+		out = append(out, ScoredTuple{Index: m.idx, Tuple: rs.rel.Tuple(m.idx), Score: c.Combine(scores)})
+		scores = scores[:0]
+	}
+	slices.SortFunc(out, func(a, b ScoredTuple) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Index, b.Index))
 	})
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"contextpref/internal/dataset"
 	"contextpref/internal/faultfs"
@@ -638,5 +639,55 @@ func TestParkConcurrentResidentSet(t *testing.T) {
 				t.Fatalf("w%d-%d: directory\n%s\nmirror\n%s", w, k, got, want)
 			}
 		}
+	}
+}
+
+// TestParkedRecordsOwnTheirText pins that replay archives parked
+// records in memory of their own. Recovered records are substrings of
+// the text they were parsed from (a whole snapshot is one string), so a
+// parked record that kept them would keep all of that text alive.
+func TestParkedRecordsOwnTheirText(t *testing.T) {
+	env, rel := persistFixture(t)
+	line := "[time = t05] => type = gallery : 0.7"
+	read := strings.Repeat("#", 4096) + "\t\"alice\"\t" + line + "\n"
+	user := read[strings.Index(read, "alice"):][:len("alice")]
+	text := read[strings.Index(read, "["):][:len(line)]
+	d, err := NewDirectory(env, rel, WithMaxResidentUsers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Replay([]journal.Record{
+		{Op: journal.OpUser, User: user},
+		{Op: journal.OpAdd, User: user, Line: text},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		base := uintptr(unsafe.Pointer(unsafe.StringData(read)))
+		return len(s) > 0 && p >= base && p < base+uintptr(len(read))
+	}
+	sys, ok := d.Lookup("alice")
+	if !ok || sys.Resident() {
+		t.Fatalf("alice not parked after replay (found %v)", ok)
+	}
+	if within(sys.user) {
+		t.Error("the handle's user name aliases the read text")
+	}
+	for name := range d.shardFor("alice").systems {
+		if within(name) {
+			t.Error("the shard's user key aliases the read text")
+		}
+	}
+	if len(sys.parked) != 1 {
+		t.Fatalf("parked %d records, want 1", len(sys.parked))
+	}
+	for _, r := range sys.parked {
+		if within(r.User) || within(r.Line) {
+			t.Errorf("parked record %+v aliases the read text", r)
+		}
+	}
+	if got := sys.NumPreferences(); got != 1 {
+		t.Fatalf("unparked profile has %d preferences, want 1", got)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -310,6 +311,9 @@ func (sh *dirShard) parkedEntry(name string) (*SafeSystem, error) {
 		sh.mu.Unlock()
 		return sys, nil
 	}
+	// A replayed name is a substring of the journal text it was parsed
+	// from; the handle and the map key keep a copy of their own.
+	name = strings.Clone(name)
 	sys = &SafeSystem{user: name, caching: sh.d.cachedOpts, parkPersist: sh.persist, parkHealth: sh.health}
 	sys.shard.Store(sh)
 	sh.systems[name] = sys
