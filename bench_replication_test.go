@@ -28,7 +28,7 @@ func BenchmarkReplicationShip(b *testing.B) {
 	}
 	defer lj.Close()
 	ln := newPipeListener()
-	leader := replication.NewLeader(lj, replication.LeaderConfig{
+	leader := replication.NewShardedLeader([]*journal.Journal{lj}, replication.LeaderConfig{
 		Heartbeat:  time.Second,
 		SendBuffer: 4096,
 	})
@@ -40,12 +40,12 @@ func BenchmarkReplicationShip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fj.Close()
-	fol, err := replication.NewFollower(fj, replication.FollowerConfig{
-		Dial:        ln.dial,
-		Apply:       func([]journal.Record) error { return nil },
-		Reset:       func([]journal.Record) error { return nil },
-		Backoff:     time.Millisecond,
-		ReadTimeout: time.Second,
+	fol, err := replication.NewShardedFollower([]*journal.Journal{fj}, replication.FollowerConfig{
+		DialSegment:  ln.dial,
+		ApplySegment: func(int, []journal.Record) error { return nil },
+		ResetSegment: func(int, []journal.Record) error { return nil },
+		Backoff:      time.Millisecond,
+		ReadTimeout:  time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -67,12 +67,12 @@ func BenchmarkReplicationShip(b *testing.B) {
 		// Backpressure: never outrun the send buffer, or the bench
 		// degenerates into cut-and-resync churn instead of measuring
 		// the steady-state pipeline.
-		for lj.LastSeq()-fol.AppliedSeq() > 2048 {
+		for lj.LastSeq()-fol.AppliedSeqSegment(0) > 2048 {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
 	target := lj.LastSeq()
-	for fol.AppliedSeq() < target {
+	for fol.AppliedSeqSegment(0) < target {
 		time.Sleep(50 * time.Microsecond)
 	}
 }

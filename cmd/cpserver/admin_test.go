@@ -18,19 +18,20 @@ import (
 // check the Prometheus output covers HTTP requests, resolution cells
 // visited, and journal fsync latency.
 func TestAdminEndpoints(t *testing.T) {
-	c := cfg(50, 7, "jaccard", "", 16, "", false)
+	c := cfg(50, 7, "jaccard", "", 16, "")
 	c.store = t.TempDir()
 	a, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.journal.Close()
+	defer closeJournals(a)
 	ts := httptest.NewServer(a.api)
 	defer ts.Close()
 	admin := httptest.NewServer(a.admin)
 	defer admin.Close()
 
-	// Traffic: a journaled mutation, a resolution, and a query.
+	// Traffic: a journaled mutation (the default user's creation, then
+	// the add: two appends), a resolution, and a query.
 	resp, err := ts.Client().Post(ts.URL+"/preferences", "text/plain",
 		strings.NewReader("[accompanying_people = friends] => type = brewery : 0.9"))
 	if err != nil {
@@ -75,8 +76,8 @@ func TestAdminEndpoints(t *testing.T) {
 		"cp_resolve_cells_total ",
 		`cp_resolve_total{outcome=`,
 		"# TYPE cp_journal_fsync_seconds histogram",
-		"cp_journal_fsync_seconds_count 1",
-		"cp_journal_append_records_total 1",
+		"cp_journal_fsync_seconds_count 2",
+		"cp_journal_append_records_total 2",
 		"cp_journal_size_bytes ",
 		"cp_uptime_seconds ",
 		"cp_go_goroutines ",
@@ -121,7 +122,7 @@ func TestAdminEndpoints(t *testing.T) {
 // scrapes it while the server is live, and confirms it answers until
 // the drain completes.
 func TestServeWithAdminListener(t *testing.T) {
-	c := cfg(30, 7, "jaccard", "", 16, "", false)
+	c := cfg(30, 7, "jaccard", "", 16, "")
 	a, err := build(c)
 	if err != nil {
 		t.Fatal(err)

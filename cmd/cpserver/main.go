@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cpserver [-addr :8080] [-pois 300] [-seed 7] [-metric jaccard]
-//	         [-profile file] [-cache 64] [-store dir] [-multiuser]
+//	         [-profile file] [-cache 64] [-store dir]
 //	         [-max-inflight 256] [-max-body 1048576] [-shutdown-timeout 10s]
 //	         [-probe-interval 2s] [-admin-addr :8081] [-slow-request 500ms]
 //	         [-log-level info] [-request-timeout 5s] [-rate-limit 0]
@@ -24,6 +24,7 @@
 //	DELETE /preferences
 //	POST /query
 //	GET  /resolve?state=v1,v2,v3
+//	GET  /users
 //	GET  /healthz
 //	GET  /readyz
 //
@@ -56,69 +57,75 @@
 // slowest spans. -version prints build identity (also exported as the
 // cp_build_info gauge) and exits.
 //
-// Durability. With -store dir, every profile mutation is journaled to
-// dir/journal.cpj (fsync'd, see the internal/journal package for the
-// record format) before it is applied; on startup the server replays
-// the snapshot and the journal — tolerating a torn final batch from a
-// crash mid-write — and recovers the exact profile state, including
-// every per-user profile in -multiuser mode. On a store that already
-// holds state, -profile is ignored in single-user mode (the store is
-// the source of truth); on a fresh store, -profile seeds it and the
-// seed is journaled. At graceful shutdown the journal is compacted into
-// a snapshot.
+// Users. The server holds a directory of per-user profiles over the
+// one shared database and context model: every data endpoint takes
+// ?user=name, defaulting to "default", GET /users lists the known
+// users, and an unknown user is created on first access. With -profile
+// every new user starts from that profile; a file that does not parse,
+// or whose lines conflict with each other, fails startup.
+//
+// Durability. With -store dir, every profile mutation is journaled
+// (fsync'd, see the internal/journal package for the record format)
+// before it is applied; on startup the server replays the snapshot and
+// the journal — tolerating a torn final batch from a crash mid-write —
+// and recovers every user's profile exactly. Recovered users are not
+// re-seeded from -profile. At graceful shutdown each journal is
+// compacted into a snapshot.
+//
+// Store layout. A store is a SHARDS file holding the shard count N
+// (-shards, default 1) and one directory per shard,
+// <store>/shard-NNN/, holding that shard's journal.cpj and
+// snapshot.cpj. The shard count is fixed at store creation because it
+// decides which journal segment owns a user. A store with a root
+// journal.cpj or snapshot.cpj and no SHARDS file predates this layout
+// and is refused untouched; the README gives the one-time move.
 //
 // Degraded mode. When a journal write fails (disk full, I/O error),
-// the store flips read-only instead of crashing: mutations answer 503
-// {"code":"degraded"} with a Retry-After hint while reads, resolution,
-// and queries keep serving from memory, and /readyz reports
-// {"status":"degraded"} so load balancers can route writes elsewhere.
-// A background probe re-tests the store every -probe-interval and the
-// server returns to healthy automatically once writes succeed again
-// (cp_health_* metrics track the state and transitions).
+// the shard it belongs to flips read-only instead of crashing: its
+// users' mutations answer 503 {"code":"degraded","shard":i} with a
+// Retry-After hint while reads, resolution, and queries keep serving
+// from memory, and the other shards keep accepting mutations. /readyz
+// reports every shard's state, and {"status":"degraded"} with 503 once
+// every shard is read-only, so load balancers can route writes
+// elsewhere. A background probe per shard re-tests its journal every
+// -probe-interval and the shard returns to healthy automatically once
+// writes succeed again (cp_health_* and cp_shard_degraded track the
+// state and transitions).
 //
-// Sharding. With -shards N (requires -multiuser) the directory splits
-// into N fault-isolated shards: each user is routed to one shard by a
-// stable hash of the user name, and each shard owns its own journal
-// segment (<store>/shard-NNN/), its own health tracker, and its own
-// recovery probe — a disk fault in one shard degrades only that
-// shard's users to read-only (503 {"code":"degraded","shard":i}) while
-// the others keep accepting mutations, and /readyz reports every
-// shard's state. The shard count is fixed at store creation (recorded
-// in <store>/SHARDS) because it decides journal-segment ownership.
-// Compaction is staggered: every -compact-interval one shard's segment
-// is compacted, round-robin, so snapshot write bursts never overlap.
+// Sharding. With -shards N the directory splits into N fault-isolated
+// shards: each user is routed to one shard by a stable hash of the
+// user name, and each shard owns its own journal segment, its own
+// health tracker, and its own recovery probe. Compaction is staggered:
+// every -compact-interval one shard's segment is compacted,
+// round-robin, so snapshot write bursts never overlap.
 // -max-resident-users bounds materialized profiles: idle profiles over
 // the bound are parked (kept as compact journal records in memory) and
 // rebuilt transparently on next access.
 //
 // Replication. With -replicate-addr a journaled leader streams every
 // committed batch to followers (see internal/replication for the wire
-// protocol). A follower runs with -follow <leader> -store dir
-// -multiuser: it tails the stream into its own journal, serves
-// read-only — mutations answer 503 {"code":"read_only"} — and rejects
-// reads older than -max-staleness with 503 {"code":"stale"} so clients
-// never observe unbounded lag; /readyz reports "following" while
-// caught up. SIGUSR1 promotes the follower to leader (mutations
-// accepted, journal owned); with -promote-after > 0 the follower
-// promotes itself after that much total leader silence. A node may
-// follow and replicate at once, forming a chain.
-//
-// Sharded replication. A sharded store replicates too: the leader
-// ships each shard's journal segment on its own connection (protocol
-// rev cprepl/2; leader and follower must agree on -shards, a mismatch
-// is refused at handshake), and the follower grafts each segment
+// protocol, cprepl/2): each shard's journal segment ships on its own
+// connection, and leader and follower must agree on -shards — a
+// mismatch is refused at handshake. A follower runs with -follow
+// <leader> -store dir: it grafts each segment into its own journal
 // independently — one stalled, desynced, or faulted segment stream
 // degrades only that shard while the others keep tailing, retrying on
-// its own jittered backoff. Reads are staleness-gated per shard (a
-// read of a user on a fresh shard serves even while another shard's
-// stream is behind), /readyz reports per-shard lag and marks lagging
-// shards "stale" individually, and the cp_replication_shard_* metrics
-// carry one series per shard. Promotion is whole-node: the -promote-
-// after watchdog counts silence across every segment stream (frames on
-// any segment are proof of leader life; local progress on one segment
-// never defers it), and a promoted follower owns all segments. What is
-// guaranteed per segment — and only per segment — is whole-batch
-// prefix consistency; there is no cross-shard ordering.
+// its own jittered backoff — and serves read-only: mutations answer
+// 503 {"code":"read_only"}. Reads are staleness-gated per shard: a read
+// of a user on a fresh shard serves even while another shard's stream
+// is behind, and a read older than -max-staleness answers 503
+// {"code":"stale"} so clients never observe unbounded lag. /readyz
+// reports per-shard lag, marks lagging shards "stale" individually,
+// and reports "following" while caught up; the cp_replication_shard_*
+// metrics carry one series per shard. SIGUSR1 promotes the follower to
+// leader (mutations accepted, journals owned); with -promote-after > 0
+// the follower promotes itself after that much total leader silence,
+// counted across every segment stream (frames on any segment are proof
+// of leader life; local progress on one segment never defers it).
+// Promotion is whole-node. What is guaranteed per segment — and only
+// per segment — is whole-batch prefix consistency; there is no
+// cross-shard ordering. A node may follow and replicate at once,
+// forming a chain.
 //
 // Limits & deadlines. Every non-probe request runs under the
 // -request-timeout deadline: resolution and query scans check it
@@ -135,15 +142,17 @@
 //
 // Shutdown. SIGINT/SIGTERM starts a graceful drain: /readyz flips to
 // 503 so load balancers stop routing, in-flight requests are served to
-// completion (bounded by -shutdown-timeout), then the journal is
-// snapshotted and closed.
+// completion (bounded by -shutdown-timeout), then every healthy shard's
+// journal is snapshotted and every journal closed.
 //
 // Example:
 //
-//	curl -X POST localhost:8080/preferences \
+//	curl -X POST 'localhost:8080/preferences?user=alice' \
 //	     -d '[accompanying_people = friends] => type = brewery : 0.9'
-//	curl -X POST localhost:8080/query \
+//	curl -X POST 'localhost:8080/query?user=alice' \
 //	     -d '{"query": "top 5", "current": ["friends", "t03", "ath_r01"]}'
+//
+// -multiuser is accepted and ignored: every server is multi-user.
 package main
 
 import (
@@ -180,7 +189,6 @@ type config struct {
 	profile           string
 	cache             int
 	data              string
-	multi             bool
 	store             string
 	maxInflight       int
 	maxBody           int64
@@ -209,7 +217,7 @@ type config struct {
 	shards            int
 	maxResidentUsers  int
 	compactInterval   time.Duration
-	// probe overrides the unsharded recovery probe (tests only — the
+	// probe overrides every shard's recovery probe (tests only — the
 	// real journal's probe succeeds instantly on a healthy disk, which
 	// makes a synthetically degraded window unobservably short).
 	probe func() error
@@ -218,23 +226,16 @@ type config struct {
 // app is a built server plus its durability and observability hooks.
 type app struct {
 	api *httpapi.Server
-	// journal is non-nil when -store is set in unsharded mode; shutdown
-	// snapshots and closes it.
-	journal *journal.Journal
-	// shardJournals/shardHealths are the per-shard fault domains when
-	// -shards > 1: shardJournals[i] is shard i's journal segment and
-	// shardHealths[i] its independent degraded-mode tracker. serve runs
-	// one recovery probe loop per shard.
-	shardJournals []*journal.Journal
-	shardHealths  []*contextpref.Health
-	// compactor staggers per-shard journal compaction; non-nil exactly
-	// when shardJournals is.
+	// journals/healths are the store's per-shard fault domains, both
+	// nil without -store: journals[i] is shard i's journal segment and
+	// healths[i] its independent degraded-mode tracker. serve runs one
+	// recovery probe loop per shard.
+	journals []*journal.Journal
+	healths  []*contextpref.Health
+	// compactor staggers per-shard journal compaction and compacts
+	// every healthy shard at shutdown; non-nil exactly when journals
+	// is.
 	compactor *contextpref.StaggeredCompactor
-	// snapshot renders the current state for compaction.
-	snapshot func() ([]journal.Record, error)
-	// health tracks degraded (read-only) mode; non-nil exactly when
-	// journal is.
-	health *contextpref.Health
 	// reg is the telemetry registry every layer reports into.
 	reg *contextpref.TelemetryRegistry
 	// admin serves /metrics, /varz, and pprof on the -admin-addr
@@ -276,10 +277,20 @@ func versionString() string {
 }
 
 // shardMeta reconciles the store's SHARDS meta file with the -shards
-// flag. The shard count decides which journal segment owns a user — it
-// is fixed when the store is created and every later open must match,
-// or replay would look for users in the wrong segments.
+// flag, creating it in a fresh store. The shard count decides which
+// journal segment owns a user — it is fixed when the store is created
+// and every later open must match, or replay would look for users in
+// the wrong segments. A store that holds a root journal or snapshot
+// predates the sharded layout, or is halfway through the README's
+// move: it is refused, and none of its files is touched.
 func shardMeta(store string, shards int) error {
+	for _, name := range []string{"journal.cpj", "snapshot.cpj"} {
+		if _, err := os.Stat(filepath.Join(store, name)); err == nil {
+			return fmt.Errorf("store %s holds a root %s, the layout of an older cpserver; it was left untouched. "+
+				"A multi-user store moves into %s with a SHARDS file holding 1 (see README); a single-user store must be exported and re-posted",
+				store, name, journal.ShardDir(0))
+		}
+	}
 	path := filepath.Join(store, "SHARDS")
 	if b, err := os.ReadFile(path); err == nil {
 		n, err := strconv.Atoi(strings.TrimSpace(string(b)))
@@ -293,16 +304,39 @@ func shardMeta(store string, shards int) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	if shards <= 1 {
-		return nil // unsharded stores carry no meta file
-	}
-	if _, err := os.Stat(filepath.Join(store, "journal.cpj")); err == nil {
-		return fmt.Errorf("store %s already holds an unsharded journal; re-sharding an existing store is not supported", store)
-	}
 	if err := os.MkdirAll(store, 0o755); err != nil {
 		return err
 	}
 	return os.WriteFile(path, []byte(strconv.Itoa(shards)+"\n"), 0o644)
+}
+
+// seedProfile reads the -profile file: the preferences every new user
+// starts from. A line that does not parse, names a value outside the
+// environment, or conflicts with an earlier line (Def. 6) fails the
+// build, since no user could be seeded from the file.
+func seedProfile(env *contextpref.Environment, path string) ([]contextpref.Preference, error) {
+	text, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	pr, err := contextpref.NewProfile(env)
+	if err != nil {
+		return nil, err
+	}
+	for i, line := range strings.Split(string(text), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		p, err := contextpref.ParsePreference(line)
+		if err == nil {
+			err = pr.Add(p)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("-profile %s line %d: %w", path, i+1, err)
+		}
+	}
+	return pr.Preferences(), nil
 }
 
 // newLogger builds the process logger at the named level ("" = info).
@@ -324,11 +358,11 @@ func main() {
 	flag.IntVar(&cfg.pois, "pois", 300, "number of points of interest to generate")
 	flag.Int64Var(&cfg.seed, "seed", 7, "random seed for the demo database")
 	flag.StringVar(&cfg.metric, "metric", "jaccard", "context-resolution metric: jaccard or hierarchy")
-	flag.StringVar(&cfg.profile, "profile", "", "profile file to load at startup (ignored when -store already holds state)")
+	flag.StringVar(&cfg.profile, "profile", "", "profile file every new user starts from (users recovered from -store keep their own)")
 	flag.IntVar(&cfg.cache, "cache", 64, "context query tree capacity (0 = unbounded, -1 = disabled)")
 	flag.StringVar(&cfg.data, "data", "", "CSV file with points of interest (header: pid,name,type,location,open_air,hours_of_operation,admission_cost)")
-	flag.BoolVar(&cfg.multi, "multiuser", false, "serve per-user profiles selected by ?user=name")
-	flag.StringVar(&cfg.store, "store", "", "directory for the durable profile journal (empty = in-memory only)")
+	flag.Bool("multiuser", false, "ignored: every server serves per-user profiles selected by ?user=name")
+	flag.StringVar(&cfg.store, "store", "", "directory for the durable per-shard profile journals (empty = in-memory only)")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 256, "maximum concurrently served requests (0 = unlimited)")
 	flag.Int64Var(&cfg.maxBody, "max-body", 1<<20, "maximum request body size in bytes")
 	flag.DurationVar(&cfg.probeInterval, "probe-interval", 2*time.Second, "how often to probe a degraded store for recovery")
@@ -343,13 +377,13 @@ func main() {
 	flag.DurationVar(&cfg.chaosJitter, "chaos-jitter", 0, "chaos: uniformly random extra latency in [0, jitter)")
 	flag.Float64Var(&cfg.chaosErrorRate, "chaos-error-rate", 0, "chaos: probability in [0,1] of failing a request with 500 {\"code\":\"chaos\"}")
 	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 1, "chaos: seed for the deterministic fault stream")
-	flag.StringVar(&cfg.follow, "follow", "", "leader replication address to tail; the node serves read-only (requires -store and -multiuser)")
+	flag.StringVar(&cfg.follow, "follow", "", "leader replication address to tail; the node serves read-only (requires -store)")
 	flag.StringVar(&cfg.replicateAddr, "replicate-addr", "", "listen address for the journal replication stream (requires -store)")
 	flag.DurationVar(&cfg.maxStaleness, "max-staleness", 5*time.Second, "follower reads older than this answer 503 {\"code\":\"stale\"}")
 	flag.DurationVar(&cfg.promoteAfter, "promote-after", 0, "promote the follower after this much total leader silence; 0 = only on SIGUSR1")
-	flag.IntVar(&cfg.shards, "shards", 1, "split the -multiuser directory into this many fault-isolated shards, each with its own journal segment and health tracker (fixed at store creation)")
-	flag.IntVar(&cfg.maxResidentUsers, "max-resident-users", 0, "bound on materialized per-user profiles in -multiuser mode; idle profiles over the bound are parked and rebuilt on access (0 = unlimited)")
-	flag.DurationVar(&cfg.compactInterval, "compact-interval", time.Minute, "sharded mode: compact one shard's journal segment per tick, round-robin")
+	flag.IntVar(&cfg.shards, "shards", 1, "split the user directory into this many fault-isolated shards, each with its own journal segment and health tracker (fixed at store creation)")
+	flag.IntVar(&cfg.maxResidentUsers, "max-resident-users", 0, "bound on materialized per-user profiles; idle profiles over the bound are parked and rebuilt on access (0 = unlimited)")
+	flag.DurationVar(&cfg.compactInterval, "compact-interval", time.Minute, "compact one shard's journal segment per tick, round-robin (with -store)")
 	flag.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "graceful drain deadline on SIGTERM")
 	flag.DurationVar(&cfg.slowRequest, "slow-request", 500*time.Millisecond, "log requests served slower than this at Warn level (0 = disabled)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug, info, warn, or error")
@@ -401,8 +435,8 @@ func main() {
 // adminLn is non-nil, the admin server for /metrics, /varz, and pprof —
 // until ctx is cancelled (SIGINT/SIGTERM in main), then drains
 // gracefully: readiness flips to draining, in-flight requests finish
-// within cfg.shutdownTimeout, and the journal — when present — is
-// compacted into a snapshot and closed. The admin listener stays up
+// within cfg.shutdownTimeout, and the journals — when present — are
+// compacted into snapshots and closed. The admin listener stays up
 // through the drain so the shutdown itself can be observed, and closes
 // last. Split from main for testability.
 func serve(ctx context.Context, a *app, ln, adminLn net.Listener, cfg config) error {
@@ -416,21 +450,18 @@ func serve(ctx context.Context, a *app, ln, adminLn net.Listener, cfg config) er
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	// Background store probe: while degraded, re-test the journal every
-	// probe interval and flip back to healthy on the first success. The
-	// goroutine exits with the serve context at shutdown.
-	if a.health != nil && a.journal != nil {
-		probe := a.journal.Probe
+	// Background store probes, one loop per shard (cheap — each loop
+	// sleeps with no timer while its shard is healthy): while degraded,
+	// re-test the shard's journal every probe interval and flip back to
+	// healthy on the first success. Plus the staggered compactor
+	// advancing one shard per tick. The goroutines exit with the serve
+	// context at shutdown.
+	for i, h := range a.healths {
+		probe := a.journals[i].Probe
 		if cfg.probe != nil {
 			probe = cfg.probe
 		}
-		go a.health.Run(ctx, cfg.probeInterval, probe)
-	}
-	// Sharded store: one independent probe loop per shard (cheap — each
-	// loop sleeps with no timer while its shard is healthy), plus the
-	// staggered compactor advancing one shard per tick.
-	for i, h := range a.shardHealths {
-		go h.Run(ctx, cfg.probeInterval, a.shardJournals[i].Probe)
+		go h.Run(ctx, cfg.probeInterval, probe)
 	}
 	if a.compactor != nil {
 		go a.compactor.Run(ctx, cfg.compactInterval, func(shard int, err error) {
@@ -526,8 +557,8 @@ func serve(ctx context.Context, a *app, ln, adminLn net.Listener, cfg config) er
 	}
 	<-errc // Serve has returned http.ErrServerClosed
 
-	// Quiesce replication before touching the journal: the leader's
-	// append tap must detach before compaction rewrites the file, and
+	// Quiesce replication before touching the journals: the leader's
+	// append taps must detach before compaction rewrites the files, and
 	// the follower loop owns local journal writes until it returns.
 	if a.leader != nil {
 		a.leader.Close()
@@ -538,39 +569,21 @@ func serve(ctx context.Context, a *app, ln, adminLn net.Listener, cfg config) er
 		}
 	}
 
-	if a.journal != nil {
+	if a.compactor != nil {
 		// All handlers have returned (or been abandoned by the drain
 		// deadline — their mutations are journaled before they apply, so
-		// the log is still consistent). Compact and close, reporting how
-		// long compaction took and what it left behind.
-		compactStart := time.Now()
-		if state, err := a.snapshot(); err != nil {
-			a.logger.Error("snapshot state failed", "error", err)
-		} else if err := a.journal.Snapshot(state); err != nil {
-			a.logger.Error("snapshot write failed", "error", err)
-		} else {
-			a.logger.Info("journal compacted",
-				"duration", time.Since(compactStart),
-				"records", len(state),
-				"journal_size_bytes", a.journal.Size())
-		}
-		if err := a.journal.Close(); err != nil {
-			return fmt.Errorf("closing journal: %w", err)
-		}
-	}
-	if a.compactor != nil {
-		// Sharded store: compact every healthy shard's segment (degraded
-		// shards keep their journal tail — it is the recovery evidence),
-		// then close all segments.
+		// the logs are still consistent). Compact every healthy shard's
+		// segment (degraded shards keep their journal tail — it is the
+		// recovery evidence), then close all segments.
 		compactStart := time.Now()
 		if err := a.compactor.CompactAll(context.Background()); err != nil {
 			a.logger.Error("shard compaction at shutdown failed", "error", err)
 		} else {
 			a.logger.Info("shard journals compacted",
-				"shards", len(a.shardJournals), "duration", time.Since(compactStart))
+				"shards", len(a.journals), "duration", time.Since(compactStart))
 		}
-		for i, ji := range a.shardJournals {
-			if err := ji.Close(); err != nil {
+		for i, j := range a.journals {
+			if err := j.Close(); err != nil {
 				return fmt.Errorf("closing shard %d journal: %w", i, err)
 			}
 		}
@@ -581,28 +594,22 @@ func serve(ctx context.Context, a *app, ln, adminLn net.Listener, cfg config) er
 	return nil
 }
 
-// build assembles the system, the optional journal, the telemetry
-// registry, and the HTTP and admin servers; split from main for
-// testability.
+// build assembles the user directory, the optional per-shard journals,
+// the telemetry registry, replication, and the HTTP and admin servers;
+// split from main for testability.
 func build(cfg config) (*app, error) {
 	logger, err := newLogger(cfg.logLevel)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.follow != "" && cfg.store == "" {
-		return nil, errors.New("-follow requires -store: the follower tails the leader into a local journal")
-	}
-	if cfg.follow != "" && !cfg.multi {
-		return nil, errors.New("-follow requires -multiuser: replication streams the full per-user directory")
+		return nil, errors.New("-follow requires -store: the follower tails the leader into local journals")
 	}
 	if cfg.replicateAddr != "" && cfg.store == "" {
 		return nil, errors.New("-replicate-addr requires -store: only a journaled node can ship records")
 	}
 	if cfg.shards < 1 {
-		cfg.shards = 1 // zero value (tests build config directly) = unsharded
-	}
-	if cfg.shards > 1 && !cfg.multi {
-		return nil, errors.New("-shards requires -multiuser: sharding routes per-user profiles to fault domains")
+		cfg.shards = 1 // zero value: tests build config directly
 	}
 	if cfg.store != "" {
 		if err := shardMeta(cfg.store, cfg.shards); err != nil {
@@ -659,75 +666,34 @@ func build(cfg config) (*app, error) {
 	if cfg.cache >= 0 {
 		opts = append(opts, contextpref.WithQueryCache(cfg.cache))
 	}
-	var seedProfile string
+	dopts := []contextpref.DirectoryOption{
+		contextpref.WithSystemOptions(opts...),
+		contextpref.WithDirectoryTelemetry(reg),
+		contextpref.WithShards(cfg.shards),
+	}
+	if cfg.maxResidentUsers > 0 {
+		dopts = append(dopts, contextpref.WithMaxResidentUsers(cfg.maxResidentUsers))
+	}
 	if cfg.profile != "" {
-		text, err := os.ReadFile(cfg.profile)
+		// Every new user starts from the given profile; it is parsed and
+		// checked once here so per-user seeding is just a copy.
+		seed, err := seedProfile(env, cfg.profile)
 		if err != nil {
 			return nil, err
 		}
-		seedProfile = string(text)
+		dopts = append(dopts, contextpref.WithDefaultProfile(func(string) ([]contextpref.Preference, error) {
+			return seed, nil
+		}))
 	}
-
-	var j *journal.Journal
-	var recovered []journal.Record
-	var health *contextpref.Health
-	if cfg.store != "" && cfg.shards <= 1 {
-		j, recovered, err = journal.Open(cfg.store)
-		if err != nil {
-			return nil, fmt.Errorf("opening store: %w", err)
-		}
-		j.SetMetrics(contextpref.NewJournalMetrics(reg))
-		if len(recovered) > 0 {
-			logger.Info("recovered journal records",
-				"records", len(recovered), "store", cfg.store)
-		}
-		health = contextpref.NewHealth()
-		contextpref.RegisterHealthTelemetry(health, reg)
-		health.OnChange(func(degraded bool, cause error) {
-			if degraded {
-				logger.Error("store degraded, serving read-only", "cause", cause)
-			} else {
-				logger.Info("store recovered, serving mutations again")
-			}
-		})
-	}
-	fail := func(err error) (*app, error) {
-		if j != nil {
-			j.Close()
-		}
+	dir, err := contextpref.NewDirectory(env, rel, dopts...)
+	if err != nil {
 		return nil, err
 	}
-	// Replication telemetry: unsharded nodes report the aggregate
-	// cp_replication_* series; sharded nodes report the per-segment
-	// cp_replication_shard_* vectors instead, one child per shard, so a
-	// lagging or flapping segment stream is attributable. The leader is
-	// built after the journals open — a sharded leader taps every
-	// segment (see the -multiuser branch below).
-	var replMetrics *replication.Metrics
-	var segReplMetrics []*replication.Metrics
-	if cfg.replicateAddr != "" || cfg.follow != "" {
-		if cfg.shards > 1 {
-			segReplMetrics = contextpref.NewShardedReplicationMetrics(reg, cfg.shards)
-		} else {
-			replMetrics = contextpref.NewReplicationMetrics(reg)
-		}
-	}
-	var leader *replication.Leader
-	if cfg.replicateAddr != "" && cfg.shards <= 1 {
-		// The tap is installed now; serve opens the listener. A node can
-		// follow and replicate at once — chain replication — because
-		// grafted batches re-fire the append tap.
-		leader = replication.NewLeader(j, replication.LeaderConfig{
-			Logger:  logger,
-			Metrics: replMetrics,
-			Tracer:  tracer,
-		})
-	}
+
 	sopts := []httpapi.ServerOption{
 		httpapi.WithTelemetry(reg),
 		httpapi.WithLogger(logger),
 		httpapi.WithSlowRequestThreshold(cfg.slowRequest),
-		httpapi.WithHealth(health),
 		httpapi.WithTracer(tracer),
 	}
 	if cfg.maxInflight > 0 {
@@ -756,236 +722,128 @@ func build(cfg config) (*app, error) {
 		}))
 	}
 
-	if cfg.multi {
-		dopts := []contextpref.DirectoryOption{
-			contextpref.WithSystemOptions(opts...),
-			contextpref.WithDirectoryTelemetry(reg),
-			contextpref.WithShards(cfg.shards),
+	a := &app{reg: reg, admin: adminHandler(reg, tracer), logger: logger}
+	fail := func(err error) (*app, error) {
+		for _, j := range a.journals {
+			j.Close()
 		}
-		if cfg.maxResidentUsers > 0 {
-			dopts = append(dopts, contextpref.WithMaxResidentUsers(cfg.maxResidentUsers))
-		}
-		if seedProfile != "" {
-			// Every new user starts from the given profile; parse it
-			// once here so per-user seeding is just a copy.
-			var seedPrefs []contextpref.Preference
-			for _, line := range strings.Split(seedProfile, "\n") {
-				line = strings.TrimSpace(line)
-				if line == "" || strings.HasPrefix(line, "#") {
-					continue
-				}
-				p, err := contextpref.ParsePreference(line)
-				if err != nil {
-					return fail(err)
-				}
-				seedPrefs = append(seedPrefs, p)
-			}
-			dopts = append(dopts, contextpref.WithDefaultProfile(func(string) ([]contextpref.Preference, error) {
-				return seedPrefs, nil
-			}))
-		}
-		dir, err := contextpref.NewDirectory(env, rel, dopts...)
-		if err != nil {
+		return nil, err
+	}
+	if cfg.store != "" {
+		if err := a.openStore(cfg, dir); err != nil {
 			return fail(err)
 		}
-		var shardJournals []*journal.Journal
-		var shardHealths []*contextpref.Health
-		var compactor *contextpref.StaggeredCompactor
-		closeShards := func() {
-			for _, ji := range shardJournals {
-				if ji != nil {
-					ji.Close()
-				}
-			}
-		}
-		if cfg.shards > 1 && cfg.store != "" {
-			// One journal segment and one health tracker per shard: an
-			// I/O failure in shard i degrades only shard i, and each shard
-			// recovers on its own probe. The journal instruments are
-			// shared — registration is idempotent — so cp_journal_* series
-			// aggregate across segments.
-			shardJournals = make([]*journal.Journal, cfg.shards)
-			shardHealths = make([]*contextpref.Health, cfg.shards)
-			jm := contextpref.NewJournalMetrics(reg)
-			for i := 0; i < cfg.shards; i++ {
-				ji, recs, err := journal.Open(filepath.Join(cfg.store, journal.ShardDir(i)))
-				if err != nil {
-					closeShards()
-					return nil, fmt.Errorf("opening shard %d store: %w", i, err)
-				}
-				shardJournals[i] = ji
-				ji.SetMetrics(jm)
-				if len(recs) > 0 {
-					logger.Info("recovered shard journal records", "shard", i, "records", len(recs))
-				}
-				// Per-shard replay before the per-shard persister attach,
-				// for the same reason as the unsharded path below.
-				if err := dir.ReplayShard(i, recs); err != nil {
-					closeShards()
-					return nil, fmt.Errorf("replaying shard %d store: %w", i, err)
-				}
-				h := contextpref.NewShardHealth(i)
-				shard := i
-				h.OnChange(func(degraded bool, cause error) {
-					if degraded {
-						logger.Error("shard degraded, serving read-only", "shard", shard, "cause", cause)
-					} else {
-						logger.Info("shard recovered, serving mutations again", "shard", shard)
-					}
-				})
-				dir.SetShardHealth(i, h)
-				if cfg.follow == "" {
-					dir.SetShardPersister(i, contextpref.NewJournalPersister(ji))
-				}
-				// Followers leave every shard persister detached until
-				// promotion — the segment streams are the only writers.
-				shardHealths[i] = h
-			}
-			contextpref.RegisterShardHealthTelemetry(shardHealths, reg)
-			compactor, err = contextpref.NewStaggeredCompactor(dir, shardJournals, reg)
-			if err != nil {
-				closeShards()
-				return nil, err
-			}
-			sopts = append(sopts, httpapi.WithShardHealth(shardHealths))
-			if cfg.replicateAddr != "" {
-				// A sharded leader taps every journal segment; each
-				// follower connection streams exactly one segment.
-				leader = replication.NewShardedLeader(shardJournals, replication.LeaderConfig{
-					Logger:         logger,
-					SegmentMetrics: segReplMetrics,
-					Tracer:         tracer,
-				})
-			}
-		}
-		if j != nil {
-			// Replay before attaching the persister, or replay would
-			// re-journal its own input. Recovered users keep their
-			// journaled profiles; -profile still seeds users created
-			// after startup.
-			if err := dir.Replay(recovered); err != nil {
-				return fail(fmt.Errorf("replaying store: %w", err))
-			}
-			if cfg.follow == "" {
-				dir.SetPersister(contextpref.NewJournalPersister(j))
-			} else {
-				// Followers never journal locally-originated mutations —
-				// the role gate rejects them and the stream is the only
-				// writer — so the persister stays detached until
-				// promotion.
-				health.SetRole(contextpref.RoleFollower)
-			}
-			dir.SetHealth(health)
-		}
-		var fol *replication.Follower
-		var promote func()
-		if cfg.follow != "" {
-			dial := func(ctx context.Context) (net.Conn, error) {
-				var d net.Dialer
-				return d.DialContext(ctx, "tcp", cfg.follow)
-			}
-			if cfg.shards > 1 {
-				// One stream per journal segment, all to the same leader
-				// address; each grafts into its own shard only, so a
-				// faulted segment degrades one shard while the rest keep
-				// tailing. The whole node follows — mutations on every
-				// shard answer read_only until promotion.
-				contextpref.SetRoleAll(shardHealths, contextpref.RoleFollower)
-				fol, err = replication.NewShardedFollower(shardJournals, replication.FollowerConfig{
-					Dial:         dial,
-					ApplySegment: dir.ApplyShardReplicated,
-					ResetSegment: dir.ResetShardReplicated,
-					SegmentFault: func(seg int, err error) {
-						shardHealths[seg].MarkDegraded(fmt.Errorf("replication stream stopped: %w", err))
-					},
-					Rand:           rand.New(rand.NewSource(time.Now().UnixNano())),
-					PromoteAfter:   cfg.promoteAfter,
-					Logger:         logger,
-					SegmentMetrics: segReplMetrics,
-					Tracer:         tracer,
-				})
-				if err != nil {
-					closeShards()
-					return fail(err)
-				}
-				sopts = append(sopts, httpapi.WithShardReplica(fol.SegmentStaleness, cfg.maxStaleness))
-				promote = func() {
-					contextpref.SetRoleAll(shardHealths, contextpref.RolePromoting)
-					applied := make([]uint64, cfg.shards)
-					for i := range applied {
-						applied[i] = fol.AppliedSeqSegment(i)
-					}
-					logger.Warn("promoting: taking over as leader",
-						"applied_seqs", applied, "was_following", cfg.follow)
-					for i, ji := range shardJournals {
-						dir.SetShardPersister(i, contextpref.NewJournalPersister(ji))
-					}
-					contextpref.SetRoleAll(shardHealths, contextpref.RoleLeader)
-					logger.Info("promotion complete: serving mutations")
-				}
-			} else {
-				fol, err = replication.NewFollower(j, replication.FollowerConfig{
-					Dial:         dial,
-					Apply:        dir.ApplyReplicated,
-					Reset:        dir.ResetReplicated,
-					Rand:         rand.New(rand.NewSource(time.Now().UnixNano())),
-					PromoteAfter: cfg.promoteAfter,
-					Logger:       logger,
-					Metrics:      replMetrics,
-					Tracer:       tracer,
-				})
-				if err != nil {
-					return fail(err)
-				}
-				sopts = append(sopts, httpapi.WithReplica(fol.Staleness, cfg.maxStaleness))
-				promote = func() {
-					health.SetRole(contextpref.RolePromoting)
-					logger.Warn("promoting: taking over as leader",
-						"applied_seq", fol.AppliedSeq(), "was_following", cfg.follow)
-					dir.SetPersister(contextpref.NewJournalPersister(j))
-					health.SetRole(contextpref.RoleLeader)
-					logger.Info("promotion complete: serving mutations")
-				}
-			}
-		}
-		api, err := httpapi.NewMultiUser(dir, sopts...)
-		if err != nil {
-			closeShards()
-			return fail(err)
-		}
-		return &app{
-			api: api, journal: j, snapshot: dir.SnapshotRecords, health: health,
-			shardJournals: shardJournals, shardHealths: shardHealths, compactor: compactor,
-			reg: reg, admin: adminHandler(reg, tracer), logger: logger,
-			leader: leader, follower: fol, promote: promote,
-		}, nil
+		sopts = append(sopts, httpapi.WithShardHealth(a.healths))
 	}
 
-	sys, err := contextpref.NewSystem(env, rel, opts...)
-	if err != nil {
-		return fail(err)
+	// Replication telemetry: one cp_replication_shard_* series per
+	// shard, so a lagging or flapping segment stream is attributable.
+	var replMetrics []*replication.Metrics
+	if cfg.replicateAddr != "" || cfg.follow != "" {
+		replMetrics = contextpref.NewShardedReplicationMetrics(reg, cfg.shards)
 	}
-	if j != nil {
-		if err := sys.Replay(recovered); err != nil {
-			return fail(fmt.Errorf("replaying store: %w", err))
-		}
-		sys.SetPersister(contextpref.NewJournalPersister(j), "")
-		sys.SetHealth(health)
+	if cfg.replicateAddr != "" {
+		// The leader taps every journal segment now; serve opens the
+		// listener, and each follower connection streams one segment. A
+		// node can follow and replicate at once — chain replication —
+		// because grafted batches re-fire the append taps.
+		a.leader = replication.NewShardedLeader(a.journals, replication.LeaderConfig{
+			Logger:         logger,
+			SegmentMetrics: replMetrics,
+			Tracer:         tracer,
+		})
 	}
-	if seedProfile != "" {
-		if len(recovered) > 0 {
-			// The store is the source of truth; re-loading the seed
-			// would conflict with the recovered preferences.
-			logger.Info("store holds state, ignoring -profile")
-		} else if err := sys.LoadProfile(seedProfile); err != nil {
+	if cfg.follow != "" {
+		// One stream per journal segment, all to the same leader
+		// address; each grafts into its own shard only, so a faulted
+		// segment degrades one shard while the rest keep tailing. The
+		// whole node follows — mutations on every shard answer
+		// read_only until promotion.
+		fol, err := replication.NewShardedFollower(a.journals, replication.FollowerConfig{
+			DialSegment: func(ctx context.Context, _ int) (net.Conn, error) {
+				var d net.Dialer
+				return d.DialContext(ctx, "tcp", cfg.follow)
+			},
+			ApplySegment: dir.ApplyShardReplicated,
+			ResetSegment: dir.ResetShardReplicated,
+			SegmentFault: func(seg int, err error) {
+				a.healths[seg].MarkDegraded(fmt.Errorf("replication stream stopped: %w", err))
+			},
+			Rand:           rand.New(rand.NewSource(time.Now().UnixNano())),
+			PromoteAfter:   cfg.promoteAfter,
+			Logger:         logger,
+			SegmentMetrics: replMetrics,
+			Tracer:         tracer,
+		})
+		if err != nil {
 			return fail(err)
 		}
+		sopts = append(sopts, httpapi.WithShardReplica(fol.SegmentStaleness, cfg.maxStaleness))
+		a.follower = fol
+		a.promote = func() {
+			contextpref.SetRoleAll(a.healths, contextpref.RolePromoting)
+			applied := make([]uint64, cfg.shards)
+			for i := range applied {
+				applied[i] = fol.AppliedSeqSegment(i)
+			}
+			logger.Warn("promoting: taking over as leader",
+				"applied_seqs", applied, "was_following", cfg.follow)
+			for i, j := range a.journals {
+				dir.SetShardPersister(i, contextpref.NewJournalPersister(j))
+			}
+			contextpref.SetRoleAll(a.healths, contextpref.RoleLeader)
+			logger.Info("promotion complete: serving mutations")
+		}
 	}
-	api, err := httpapi.New(sys, sopts...)
-	if err != nil {
+	if a.api, err = httpapi.NewMultiUser(dir, sopts...); err != nil {
 		return fail(err)
 	}
-	a := &app{api: api, journal: j, health: health, reg: reg, admin: adminHandler(reg, tracer), logger: logger, leader: leader}
-	a.snapshot = func() ([]journal.Record, error) { return api.System().SnapshotRecords("") }
 	return a, nil
+}
+
+// openStore opens one journal segment per shard under cfg.store and
+// replays it into its shard, with one health tracker per shard: an I/O
+// failure in shard i degrades only shard i, and each shard recovers on
+// its own probe. A leader attaches each shard's persister; a follower
+// leaves them detached until promotion, since the segment streams are
+// the only writers. The journal instruments are shared — registration
+// is idempotent — so cp_journal_* series aggregate across segments.
+func (a *app) openStore(cfg config, dir *contextpref.Directory) error {
+	jm := contextpref.NewJournalMetrics(a.reg)
+	for i := 0; i < cfg.shards; i++ {
+		j, recs, err := journal.Open(filepath.Join(cfg.store, journal.ShardDir(i)))
+		if err != nil {
+			return fmt.Errorf("opening shard %d store: %w", i, err)
+		}
+		a.journals = append(a.journals, j)
+		j.SetMetrics(jm)
+		if len(recs) > 0 {
+			a.logger.Info("recovered shard journal records", "shard", i, "records", len(recs))
+		}
+		// Replay before attaching the persister, or replay would
+		// re-journal its own input.
+		if err := dir.ReplayShard(i, recs); err != nil {
+			return fmt.Errorf("replaying shard %d store: %w", i, err)
+		}
+		h := contextpref.NewShardHealth(i)
+		shard := i
+		h.OnChange(func(degraded bool, cause error) {
+			if degraded {
+				a.logger.Error("shard degraded, serving read-only", "shard", shard, "cause", cause)
+			} else {
+				a.logger.Info("shard recovered, serving mutations again", "shard", shard)
+			}
+		})
+		dir.SetShardHealth(i, h)
+		if cfg.follow == "" {
+			dir.SetShardPersister(i, contextpref.NewJournalPersister(j))
+		} else {
+			h.SetRole(contextpref.RoleFollower)
+		}
+		a.healths = append(a.healths, h)
+	}
+	contextpref.RegisterShardHealthTelemetry(a.healths, a.reg)
+	var err error
+	a.compactor, err = contextpref.NewStaggeredCompactor(dir, a.journals, a.reg)
+	return err
 }

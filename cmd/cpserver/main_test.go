@@ -19,12 +19,20 @@ import (
 
 // cfg returns a config mirroring the old positional build arguments,
 // with serving-layer knobs at test-friendly defaults.
-func cfg(pois int, seed int64, metric, profile string, cache int, data string, multi bool) config {
+func cfg(pois int, seed int64, metric, profile string, cache int, data string) config {
 	return config{
 		pois: pois, seed: seed, metric: metric, profile: profile,
-		cache: cache, data: data, multi: multi,
+		cache: cache, data: data,
 		readTimeout: 5 * time.Second, writeTimeout: 5 * time.Second,
 		idleTimeout: 5 * time.Second, shutdownTimeout: 5 * time.Second,
+	}
+}
+
+// closeJournals closes a built app's journal segments without
+// compacting them, as a crash would leave them.
+func closeJournals(a *app) {
+	for _, j := range a.journals {
+		j.Close()
 	}
 }
 
@@ -45,7 +53,7 @@ func TestBuildAndServe(t *testing.T) {
 		[]byte("[accompanying_people = friends] => type = brewery : 0.9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a, err := build(cfg(50, 7, "hierarchy", profile, 16, "", false))
+	a, err := build(cfg(50, 7, "hierarchy", profile, 16, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,29 +70,36 @@ func TestBuildAndServe(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := build(cfg(0, 1, "jaccard", "", 0, "", false)); err == nil {
+	if _, err := build(cfg(0, 1, "jaccard", "", 0, "")); err == nil {
 		t.Error("zero POIs should fail")
 	}
-	if _, err := build(cfg(10, 1, "euclidean", "", 0, "", false)); err == nil {
+	if _, err := build(cfg(10, 1, "euclidean", "", 0, "")); err == nil {
 		t.Error("unknown metric should fail")
 	}
-	if _, err := build(cfg(10, 1, "jaccard", "/nonexistent", 0, "", false)); err == nil {
+	if _, err := build(cfg(10, 1, "jaccard", "/nonexistent", 0, "")); err == nil {
 		t.Error("missing profile should fail")
 	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.cp")
 	os.WriteFile(bad, []byte("garbage"), 0o644)
-	if _, err := build(cfg(10, 1, "jaccard", bad, 0, "", false)); err == nil {
+	if _, err := build(cfg(10, 1, "jaccard", bad, 0, "")); err == nil {
 		t.Error("bad profile should fail")
 	}
+	// A profile whose lines conflict under Def. 6 could seed no user.
+	conflicting := filepath.Join(dir, "conflicting.cp")
+	os.WriteFile(conflicting, []byte("[accompanying_people = friends] => type = brewery : 0.9\n"+
+		"[accompanying_people = friends] => type = brewery : 0.2\n"), 0o644)
+	if _, err := build(cfg(10, 1, "jaccard", conflicting, 0, "")); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("self-conflicting profile: build error = %v, want one naming line 2", err)
+	}
 	// Cache disabled still builds.
-	if _, err := build(cfg(10, 1, "jaccard", "", -1, "", false)); err != nil {
+	if _, err := build(cfg(10, 1, "jaccard", "", -1, "")); err != nil {
 		t.Errorf("cache disabled: %v", err)
 	}
 	// A store path that is an existing file fails cleanly.
 	blocked := filepath.Join(dir, "file-not-dir")
 	os.WriteFile(blocked, nil, 0o644)
-	c := cfg(10, 1, "jaccard", "", 0, "", false)
+	c := cfg(10, 1, "jaccard", "", 0, "")
 	c.store = blocked
 	if _, err := build(c); err == nil {
 		t.Error("store at a regular file should fail")
@@ -101,7 +116,7 @@ func TestBuildWithCSVData(t *testing.T) {
 	if err := os.WriteFile(data, []byte(csvText), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a, err := build(cfg(0, 0, "jaccard", "", 16, data, false))
+	a, err := build(cfg(0, 0, "jaccard", "", 16, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +134,10 @@ func TestBuildWithCSVData(t *testing.T) {
 	// Bad CSV fails.
 	bad := filepath.Join(dir, "bad.csv")
 	os.WriteFile(bad, []byte("nope"), 0o644)
-	if _, err := build(cfg(0, 0, "jaccard", "", 16, bad, false)); err == nil {
+	if _, err := build(cfg(0, 0, "jaccard", "", 16, bad)); err == nil {
 		t.Error("bad CSV should fail")
 	}
-	if _, err := build(cfg(0, 0, "jaccard", "", 16, "/nonexistent.csv", false)); err == nil {
+	if _, err := build(cfg(0, 0, "jaccard", "", 16, "/nonexistent.csv")); err == nil {
 		t.Error("missing CSV should fail")
 	}
 }
@@ -131,7 +146,7 @@ func TestBuildMultiUser(t *testing.T) {
 	dir := t.TempDir()
 	profile := filepath.Join(dir, "seed.cp")
 	os.WriteFile(profile, []byte("# seed\n[accompanying_people = friends] => type = brewery : 0.9\n"), 0o644)
-	a, err := build(cfg(30, 7, "jaccard", profile, 16, "", true))
+	a, err := build(cfg(30, 7, "jaccard", profile, 16, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +162,11 @@ func TestBuildMultiUser(t *testing.T) {
 			t.Errorf("%s stats = %s", user, body)
 		}
 	}
-	// Bad seed profile fails at build time in multi mode too.
+	// A bad seed profile fails at build time.
 	badSeed := filepath.Join(dir, "bad.cp")
 	os.WriteFile(badSeed, []byte("garbage"), 0o644)
-	if _, err := build(cfg(30, 7, "jaccard", badSeed, 16, "", true)); err == nil {
-		t.Error("bad multi-user seed should fail")
+	if _, err := build(cfg(30, 7, "jaccard", badSeed, 16, "")); err == nil {
+		t.Error("bad seed profile should fail")
 	}
 }
 
@@ -161,7 +176,7 @@ func TestBuildMultiUser(t *testing.T) {
 // /preferences and /stats.
 func TestCrashRecoveryHTTP(t *testing.T) {
 	store := t.TempDir()
-	c := cfg(50, 7, "jaccard", "", 16, "", false)
+	c := cfg(50, 7, "jaccard", "", 16, "")
 	c.store = store
 
 	a, err := build(c)
@@ -194,8 +209,8 @@ func TestCrashRecoveryHTTP(t *testing.T) {
 	ts.Close()
 	// Crash: close the journal without snapshotting, then tear the tail
 	// by appending half a record, as if the process died mid-write.
-	a.journal.Close()
-	jpath := filepath.Join(store, "journal.cpj")
+	closeJournals(a)
+	jpath := filepath.Join(store, "shard-000", "journal.cpj")
 	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +224,7 @@ func TestCrashRecoveryHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a2.journal.Close()
+	defer closeJournals(a2)
 	ts2 := httptest.NewServer(a2.api)
 	defer ts2.Close()
 	resp, _ = ts2.Client().Get(ts2.URL + "/preferences")
@@ -222,33 +237,43 @@ func TestCrashRecoveryHTTP(t *testing.T) {
 	}
 }
 
-// TestStoreIgnoresProfileWhenRecovered: on a store that already holds
-// state, -profile is not re-loaded (it would conflict with itself).
+// TestStoreIgnoresProfileWhenRecovered: -profile seeds new users only;
+// a user recovered from the store keeps its journaled profile instead
+// of being seeded again (the seed would double, or conflict with it).
 func TestStoreIgnoresProfileWhenRecovered(t *testing.T) {
 	dir := t.TempDir()
 	store := filepath.Join(dir, "store")
 	seed := filepath.Join(dir, "seed.cp")
 	os.WriteFile(seed, []byte("[accompanying_people = friends] => type = brewery : 0.9\n"), 0o644)
 
-	c := cfg(30, 7, "jaccard", seed, 16, "", false)
+	c := cfg(30, 7, "jaccard", seed, 16, "")
 	c.store = store
 	a, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := a.api.System().NumPreferences()
-	if n != 1 {
+	u, err := a.api.Directory().User("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := u.NumPreferences(); n != 1 {
 		t.Fatalf("fresh store seeded %d preferences", n)
 	}
-	a.journal.Close()
+	closeJournals(a)
 
 	a2, err := build(c) // same store, same -profile
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a2.journal.Close()
-	if got := a2.api.System().NumPreferences(); got != 1 {
-		t.Errorf("restart with -profile doubled the profile: %d preferences", got)
+	defer closeJournals(a2)
+	for _, name := range []string{"default", "bob"} { // recovered, then new
+		u, err := a2.api.Directory().User(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := u.NumPreferences(); got != 1 {
+			t.Errorf("restart with -profile: %s has %d preferences, want 1", name, got)
+		}
 	}
 }
 
@@ -257,7 +282,7 @@ func TestStoreIgnoresProfileWhenRecovered(t *testing.T) {
 // to draining, and compacts the journal into a snapshot.
 func TestServeGracefulShutdown(t *testing.T) {
 	store := t.TempDir()
-	c := cfg(30, 7, "jaccard", "", 16, "", false)
+	c := cfg(30, 7, "jaccard", "", 16, "")
 	c.store = store
 	a, err := build(c)
 	if err != nil {
@@ -348,7 +373,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 	// The shutdown snapshot compacted the journal: state lives in
 	// snapshot.cpj and the in-flight preference survives a restart.
-	snap, err := os.ReadFile(filepath.Join(store, "snapshot.cpj"))
+	snap, err := os.ReadFile(filepath.Join(store, "shard-000", "snapshot.cpj"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +384,12 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a2.journal.Close()
-	if got := a2.api.System().NumPreferences(); got != 1 {
+	defer closeJournals(a2)
+	u, ok := a2.api.Directory().Lookup("default")
+	if !ok {
+		t.Fatal("restart after graceful shutdown lost the default user")
+	}
+	if got := u.NumPreferences(); got != 1 {
 		t.Errorf("restart after graceful shutdown: %d preferences, want 1", got)
 	}
 }
@@ -369,7 +398,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 // build/serve, including a dropped-in preference per user.
 func TestServeMultiUserStore(t *testing.T) {
 	store := t.TempDir()
-	c := cfg(30, 7, "jaccard", "", 16, "", true)
+	c := cfg(30, 7, "jaccard", "", 16, "")
 	c.store = store
 	a, err := build(c)
 	if err != nil {
@@ -387,13 +416,13 @@ func TestServeMultiUserStore(t *testing.T) {
 		}
 	}
 	ts.Close()
-	a.journal.Close() // crash
+	closeJournals(a) // crash
 
 	a2, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a2.journal.Close()
+	defer closeJournals(a2)
 	ts2 := httptest.NewServer(a2.api)
 	defer ts2.Close()
 	resp, err := ts2.Client().Get(ts2.URL + "/users")
@@ -419,7 +448,7 @@ func TestServeMultiUserStore(t *testing.T) {
 // loop started by serve() returns the server to healthy automatically.
 func TestServeDegradedRecovery(t *testing.T) {
 	store := t.TempDir()
-	c := cfg(30, 7, "jaccard", "", 16, "", false)
+	c := cfg(30, 7, "jaccard", "", 16, "")
 	c.store = store
 	c.probeInterval = 10 * time.Millisecond
 	// The probe is gated so the degraded window is observable: the real
@@ -437,8 +466,8 @@ func TestServeDegradedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.health == nil {
-		t.Fatal("build with -store did not create a health tracker")
+	if len(a.healths) != 1 {
+		t.Fatalf("build with -store created %d health trackers, want 1", len(a.healths))
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -460,15 +489,24 @@ func TestServeDegradedRecovery(t *testing.T) {
 	if !up {
 		t.Fatal("server never came up")
 	}
+	// The default user exists before the failure: reads of known users
+	// keep serving while degraded, but creating one is a mutation.
+	resp, err := http.Get(base + "/preferences")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET while healthy = %d", resp.StatusCode)
+	}
 
 	// Simulate a persistence failure: the store goes read-only.
-	a.health.MarkDegraded(fmt.Errorf("synthetic disk failure"))
-	resp, err := http.Get(base + "/readyz")
+	a.healths[0].MarkDegraded(fmt.Errorf("synthetic disk failure"))
+	resp, err = http.Get(base + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable ||
-		!strings.Contains(body, "degraded") {
+		!strings.Contains(body, `"status":"degraded"`) || !strings.Contains(body, `"shards":[{"shard":0,"status":"degraded"}]`) {
 		t.Fatalf("readyz while degraded = %d: %s", resp.StatusCode, body)
 	}
 	resp, err = http.Post(base+"/preferences", "text/plain",
@@ -477,7 +515,7 @@ func TestServeDegradedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if body := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable ||
-		!strings.Contains(body, "degraded") {
+		!strings.Contains(body, `"code":"degraded"`) || !strings.Contains(body, `"shard":0`) {
 		t.Fatalf("POST while degraded = %d: %s", resp.StatusCode, body)
 	}
 	resp, err = http.Get(base + "/preferences")
@@ -522,7 +560,7 @@ func TestServeDegradedRecovery(t *testing.T) {
 }
 
 func TestBuildWithLimitsAndChaos(t *testing.T) {
-	c := cfg(20, 7, "hierarchy", "", 16, "", false)
+	c := cfg(20, 7, "hierarchy", "", 16, "")
 	c.requestTimeout = time.Second
 	c.rateLimit = 0.001 // one request, then a ~1000s refill
 	c.rateBurst = 1
@@ -569,16 +607,21 @@ func TestBuildWithLimitsAndChaos(t *testing.T) {
 // TestBuildReplicationFlagErrors: the replication flags demand the
 // stores they need at build time, not at first use.
 func TestBuildReplicationFlagErrors(t *testing.T) {
-	c := cfg(10, 1, "jaccard", "", 0, "", false)
+	c := cfg(10, 1, "jaccard", "", 0, "")
 	c.follow = "localhost:1"
 	if _, err := build(c); err == nil {
 		t.Error("-follow without -store should fail")
 	}
 	c.store = t.TempDir()
-	if _, err := build(c); err == nil {
-		t.Error("-follow without -multiuser should fail")
+	a, err := build(c)
+	if err != nil {
+		t.Fatalf("-follow with -store: %v", err)
 	}
-	c = cfg(10, 1, "jaccard", "", 0, "", false)
+	if a.follower == nil || a.follower.Segments() != 1 {
+		t.Fatalf("follower = %+v, want one segment stream", a.follower)
+	}
+	closeJournals(a)
+	c = cfg(10, 1, "jaccard", "", 0, "")
 	c.replicateAddr = "127.0.0.1:0"
 	if _, err := build(c); err == nil {
 		t.Error("-replicate-addr without -store should fail")
@@ -590,6 +633,18 @@ func TestBuildReplicationFlagErrors(t *testing.T) {
 // replicated state read-only, and SIGUSR1 promotes it into a writable
 // leader.
 func TestServeReplicationFailover(t *testing.T) {
+	failoverDrill(t, "?user=alice")
+}
+
+// TestServeReplicationFailoverDefaultUser runs the drill with no ?user
+// on any request, so every write lands on the default user of a
+// one-shard store: the leader must ship records the follower can
+// graft.
+func TestServeReplicationFailoverDefaultUser(t *testing.T) {
+	failoverDrill(t, "")
+}
+
+func failoverDrill(t *testing.T, query string) {
 	// serve logs the replication listener's address rather than
 	// returning it, so pick a free loopback port with a throwaway
 	// listener and hand the leader that fixed address.
@@ -600,7 +655,7 @@ func TestServeReplicationFailover(t *testing.T) {
 	replAddr := probe.Addr().String()
 	probe.Close()
 
-	lc := cfg(30, 7, "jaccard", "", 16, "", true)
+	lc := cfg(30, 7, "jaccard", "", 16, "")
 	lc.store = t.TempDir()
 	lc.replicateAddr = replAddr
 	lc.probeInterval = time.Hour
@@ -619,7 +674,7 @@ func TestServeReplicationFailover(t *testing.T) {
 	leaderBase := "http://" + lln.Addr().String()
 
 	// Follower tailing the leader.
-	fc := cfg(30, 7, "jaccard", "", 16, "", true)
+	fc := cfg(30, 7, "jaccard", "", 16, "")
 	fc.store = t.TempDir()
 	fc.follow = replAddr
 	fc.maxStaleness = 5 * time.Second
@@ -658,14 +713,14 @@ func TestServeReplicationFailover(t *testing.T) {
 	// Mutate the leader; the follower must reject the same mutation and
 	// then serve the replicated result.
 	pref := "[accompanying_people = friends] => type = brewery : 0.9\n"
-	resp, err := http.Post(leaderBase+"/preferences?user=alice", "text/plain", strings.NewReader(pref))
+	resp, err := http.Post(leaderBase+"/preferences"+query, "text/plain", strings.NewReader(pref))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("leader POST = %d %s", resp.StatusCode, body)
 	}
-	resp, err = http.Post(followerBase+"/preferences?user=alice", "text/plain", strings.NewReader(pref))
+	resp, err = http.Post(followerBase+"/preferences"+query, "text/plain", strings.NewReader(pref))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +730,7 @@ func TestServeReplicationFailover(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(followerBase + "/preferences?user=alice")
+		resp, err := http.Get(followerBase + "/preferences" + query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -709,7 +764,7 @@ func TestServeReplicationFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := readBody(t, resp)
-		if resp.StatusCode == http.StatusOK && strings.Contains(body, "ready") {
+		if resp.StatusCode == http.StatusOK && strings.Contains(body, `"status":"ready"`) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -717,7 +772,7 @@ func TestServeReplicationFailover(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	resp, err = http.Post(followerBase+"/preferences?user=alice", "text/plain",
+	resp, err = http.Post(followerBase+"/preferences"+query, "text/plain",
 		strings.NewReader("[time = t01] => type = museum : 0.7\n"))
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,11 @@ package main
 
 // End-to-end sharded serving: per-shard journal segments under the
 // store, the SHARDS meta file pinning the shard count, crash recovery
-// across segments, and the shutdown path compacting every shard.
+// across segments, the shutdown path compacting every shard, and the
+// refusal of a store laid out before every store was sharded.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -22,7 +24,7 @@ import (
 
 func TestServeShardedStore(t *testing.T) {
 	store := t.TempDir()
-	c := cfg(30, 7, "jaccard", "", 16, "", true)
+	c := cfg(30, 7, "jaccard", "", 16, "")
 	c.store = store
 	c.shards = 2
 	c.probeInterval = 10 * time.Millisecond
@@ -32,12 +34,12 @@ func TestServeShardedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.journal != nil {
-		t.Fatal("sharded build opened a root journal")
-	}
-	if len(a.shardJournals) != 2 || len(a.shardHealths) != 2 || a.compactor == nil {
+	if len(a.journals) != 2 || len(a.healths) != 2 || a.compactor == nil {
 		t.Fatalf("sharded build: journals=%d healths=%d compactor=%v",
-			len(a.shardJournals), len(a.shardHealths), a.compactor)
+			len(a.journals), len(a.healths), a.compactor)
+	}
+	if _, err := os.Stat(filepath.Join(store, "journal.cpj")); !os.IsNotExist(err) {
+		t.Fatalf("sharded build opened a root journal: %v", err)
 	}
 	// The store layout: SHARDS meta plus one segment directory per shard.
 	if b, err := os.ReadFile(filepath.Join(store, "SHARDS")); err != nil || strings.TrimSpace(string(b)) != "2" {
@@ -114,11 +116,7 @@ func TestServeShardedStore(t *testing.T) {
 	}
 	ts := httptest.NewServer(a2.api)
 	defer ts.Close()
-	defer func() {
-		for _, j := range a2.shardJournals {
-			j.Close()
-		}
-	}()
+	defer closeJournals(a2)
 	resp2, err := ts.Client().Get(ts.URL + "/users")
 	if err != nil {
 		t.Fatal(err)
@@ -139,25 +137,23 @@ func TestServeShardedStore(t *testing.T) {
 
 func TestShardMetaMismatch(t *testing.T) {
 	store := t.TempDir()
-	c := cfg(30, 7, "jaccard", "", 16, "", true)
+	c := cfg(30, 7, "jaccard", "", 16, "")
 	c.store = store
 	c.shards = 4
 	a, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range a.shardJournals {
-		j.Close()
-	}
+	closeJournals(a)
 	// Reopening with a different count must fail, naming the real one.
 	c.shards = 2
 	if _, err := build(c); err == nil || !strings.Contains(err.Error(), "4 shards") {
 		t.Fatalf("shard-count mismatch error = %v", err)
 	}
-	// Reopening unsharded must fail too (the meta pins 4).
+	// Reopening with one shard must fail too (the meta pins 4).
 	c.shards = 1
 	if _, err := build(c); err == nil {
-		t.Fatal("unsharded reopen of a sharded store succeeded")
+		t.Fatal("one-shard reopen of a 4-shard store succeeded")
 	}
 	// The right count reopens fine.
 	c.shards = 4
@@ -165,20 +161,22 @@ func TestShardMetaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range a2.shardJournals {
-		j.Close()
-	}
+	closeJournals(a2)
 }
 
 func TestShardFlagValidation(t *testing.T) {
-	c := cfg(30, 7, "jaccard", "", 16, "", false)
+	c := cfg(30, 7, "jaccard", "", 16, "")
 	c.shards = 2
-	if _, err := build(c); err == nil || !strings.Contains(err.Error(), "-multiuser") {
-		t.Fatalf("sharded single-user build error = %v", err)
+	a, err := build(c)
+	if err != nil {
+		t.Fatalf("in-memory sharded build error = %v", err)
+	}
+	if n := a.api.Directory().NumShards(); n != 2 {
+		t.Fatalf("in-memory build has %d shards, want 2", n)
 	}
 	// A sharded leader builds: each journal segment ships on its own
-	// replication stream (PR 9).
-	c = cfg(30, 7, "jaccard", "", 16, "", true)
+	// replication stream.
+	c = cfg(30, 7, "jaccard", "", 16, "")
 	c.shards = 2
 	c.store = t.TempDir()
 	c.replicateAddr = ":0"
@@ -190,20 +188,144 @@ func TestShardFlagValidation(t *testing.T) {
 		t.Fatalf("sharded leader = %+v, want 2 segments", a0.leader)
 	}
 	a0.leader.Close()
-	for _, j := range a0.shardJournals {
-		j.Close()
-	}
-	// An existing unsharded store cannot be re-opened sharded.
+	closeJournals(a0)
+	// A one-shard store cannot be re-opened with two shards.
 	store := t.TempDir()
-	c2 := cfg(30, 7, "jaccard", "", 16, "", true)
+	c2 := cfg(30, 7, "jaccard", "", 16, "")
 	c2.store = store
-	a, err := build(c2)
+	a1, err := build(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.journal.Close()
+	closeJournals(a1)
 	c2.shards = 2
-	if _, err := build(c2); err == nil || !strings.Contains(err.Error(), "unsharded journal") {
+	if _, err := build(c2); err == nil || !strings.Contains(err.Error(), "created with 1 shards") {
 		t.Fatalf("re-sharding error = %v", err)
 	}
+}
+
+// TestLegacyStoreLayout: a store with a root journal is refused with a
+// message naming the layout, and none of its files changes — with no
+// SHARDS file, and halfway through the README's move; after the whole
+// move into shard-000/ with a SHARDS file holding 1, a former
+// multi-user store reopens with every user and preference.
+func TestLegacyStoreLayout(t *testing.T) {
+	store := t.TempDir()
+	// Lay the store out as a multi-user server without shards did: a
+	// root journal of user-tagged records, compacted once so that both
+	// journal.cpj and snapshot.cpj exist.
+	j, _, err := journal.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []journal.Record{
+		{Op: journal.OpUser, User: "alice"},
+		{Op: journal.OpAdd, User: "alice", Line: "[accompanying_people = friends] => type = brewery : 0.9"},
+	} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Snapshot([]journal.Record{
+		{Op: journal.OpUser, User: "alice"},
+		{Op: journal.OpAdd, User: "alice", Line: "[accompanying_people = friends] => type = brewery : 0.9"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []journal.Record{
+		{Op: journal.OpUser, User: "bob"},
+		{Op: journal.OpAdd, User: "bob", Line: "[time = t01] => type = museum : 0.7"},
+		{Op: journal.OpAdd, User: "bob", Line: "[time = t02] => type = park : 0.4"},
+	} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, store)
+	if _, ok := before["snapshot.cpj"]; !ok {
+		t.Fatalf("legacy store has no snapshot.cpj: %v", before)
+	}
+
+	c := cfg(30, 7, "jaccard", "", 16, "")
+	c.store = store
+	refused := func(step string) {
+		t.Helper()
+		if _, err := build(c); err == nil || !strings.Contains(err.Error(), "holds a root journal.cpj") {
+			t.Fatalf("%s: build error = %v, want the layout refusal", step, err)
+		}
+		after := readTree(t, store)
+		if len(after) != len(before) {
+			t.Fatalf("%s: refusal changed the store's files: %v -> %v", step, keys(before), keys(after))
+		}
+		for name, b := range before {
+			if !bytes.Equal(after[name], b) {
+				t.Fatalf("%s: refusal changed %s", step, name)
+			}
+		}
+	}
+	refused("legacy store")
+
+	// The README's one-time move, with SHARDS written first: the half-
+	// moved store is refused too.
+	if err := os.WriteFile(filepath.Join(store, "SHARDS"), []byte("1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before = readTree(t, store)
+	refused("half-moved store")
+	if err := os.Mkdir(filepath.Join(store, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"journal.cpj", "snapshot.cpj"} {
+		if err := os.Rename(filepath.Join(store, name), filepath.Join(store, "shard-000", name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := build(c)
+	if err != nil {
+		t.Fatalf("moved store: %v", err)
+	}
+	defer closeJournals(a)
+	dir := a.api.Directory()
+	if got := strings.Join(dir.Users(), ","); got != "alice,bob" {
+		t.Fatalf("moved store users = %s, want alice,bob", got)
+	}
+	for user, want := range map[string]int{"alice": 1, "bob": 2} {
+		u, _ := dir.Lookup(user)
+		if got := u.NumPreferences(); got != want {
+			t.Errorf("moved store: %s has %d preferences, want %d", user, got, want)
+		}
+	}
+}
+
+// readTree returns every regular file under root by relative path.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		out[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func keys(m map[string][]byte) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
 }

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	cpvet [-list] [-run a,b] [-dir root] [-json] [-baseline file] [packages]
+//	cpvet [-list] [-run a,b] [-dir root] [-json] [packages]
 //
 // The contracts are repo-global (metric names must be unique across
 // the module, for instance), so cpvet always analyzes the whole
@@ -18,13 +18,6 @@
 // not narrow the scan. Findings print as "file:line: analyzer:
 // message" and a non-empty report exits 1. With -json the report is a
 // machine-readable object for CI artifacts.
-//
-// -baseline names a committed JSON file of grandfathered findings
-// (the same shape -json emits). Baselined findings are reported as
-// tolerated and do not fail the run; a baseline entry that no longer
-// matches any finding is STALE and fails the run — the baseline is a
-// ratchet that only shrinks, never a place findings quietly retire
-// to.
 //
 // Suppress a finding with a reasoned directive on or directly above
 // the offending line:
@@ -58,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	dir := fs.String("dir", "", "module root to analyze (default: locate go.mod upward from the working directory)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	baselinePath := fs.String("baseline", "", "JSON file of grandfathered findings; stale entries fail the run")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -113,49 +105,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	diags := lint.Run(repo, analyzers)
 
-	var baseline []finding
-	if *baselinePath != "" {
-		var err error
-		baseline, err = loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "cpvet: %v\n", err)
-			return 2
-		}
+	findings := make([]finding, len(diags))
+	for i, d := range diags {
+		findings[i] = finding{File: d.Pos.Filename, Line: d.Pos.Line, Analyzer: d.Analyzer, Message: d.Message}
 	}
-	fresh, tolerated, stale := applyBaseline(diags, baseline)
 
 	if *asJSON {
-		if fresh == nil {
-			fresh = []finding{} // a clean report is [], not null
-		}
-		rep := report{Findings: fresh, Baselined: tolerated, Stale: stale}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := enc.Encode(report{Findings: findings}); err != nil {
 			fmt.Fprintf(stderr, "cpvet: %v\n", err)
 			return 2
 		}
 	} else {
-		for _, f := range fresh {
+		for _, f := range findings {
 			fmt.Fprintln(stdout, f.String())
 		}
-		for _, f := range tolerated {
-			fmt.Fprintf(stdout, "%s [baselined]\n", f.String())
-		}
-		for _, f := range stale {
-			fmt.Fprintf(stdout, "%s:%d: %s: STALE baseline entry — the finding is gone, remove it from %s\n",
-				f.File, f.Line, f.Analyzer, *baselinePath)
-		}
 	}
-	if len(fresh) > 0 || len(stale) > 0 {
-		fmt.Fprintf(stderr, "cpvet: %d finding(s), %d stale baseline entr(ies)\n", len(fresh), len(stale))
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "cpvet: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
 }
 
-// finding is the JSON shape of one diagnostic, in reports and in the
-// baseline file alike.
+// finding is the JSON shape of one diagnostic.
 type finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -167,65 +141,9 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Analyzer, f.Message)
 }
 
-// key identifies a finding for baseline matching. Line numbers drift
-// with every edit, so matching is by (file, analyzer, message): stable
-// across unrelated churn, still specific enough that a new violation
-// of the same kind elsewhere in the file shares a message only if it
-// really is the same finding.
-func (f finding) key() string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
 // report is the -json output document.
 type report struct {
-	Findings  []finding `json:"findings"`
-	Baselined []finding `json:"baselined,omitempty"`
-	Stale     []finding `json:"stale,omitempty"`
-}
-
-// loadBaseline reads the committed baseline document: either a bare
-// array of findings or an object with a "findings" key (the shape
-// -json emits, so a report can seed a baseline directly).
-func loadBaseline(path string) ([]finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var doc report
-	if err := json.Unmarshal(data, &doc); err == nil {
-		return doc.Findings, nil
-	}
-	var arr []finding
-	if err := json.Unmarshal(data, &arr); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	return arr, nil
-}
-
-// applyBaseline partitions the run's diagnostics against the baseline:
-// fresh findings fail the run, tolerated ones are grandfathered, and
-// baseline entries matching nothing are stale (and also fail the run).
-func applyBaseline(diags []lint.Diagnostic, baseline []finding) (fresh, tolerated, stale []finding) {
-	grandfathered := make(map[string]bool, len(baseline))
-	matched := make(map[string]bool, len(baseline))
-	for _, b := range baseline {
-		grandfathered[b.key()] = true
-	}
-	for _, d := range diags {
-		f := finding{File: d.Pos.Filename, Line: d.Pos.Line, Analyzer: d.Analyzer, Message: d.Message}
-		if grandfathered[f.key()] {
-			matched[f.key()] = true
-			tolerated = append(tolerated, f)
-		} else {
-			fresh = append(fresh, f)
-		}
-	}
-	for _, b := range baseline {
-		if !matched[b.key()] {
-			stale = append(stale, b)
-		}
-	}
-	return fresh, tolerated, stale
+	Findings []finding `json:"findings"`
 }
 
 // validPattern accepts the module-relative patterns people habitually

@@ -113,55 +113,6 @@ func TestRunJSONReport(t *testing.T) {
 	}
 }
 
-func TestBaselineToleratesAndRatchets(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"go.mod": "module scratch\n\ngo 1.22\n",
-		"lib.go": "package lib\n\nimport \"fmt\"\n\nfunc wrap(err error) error { return fmt.Errorf(\"x: %v\", err) }\n",
-	})
-
-	// Seed the baseline from the run's own JSON report.
-	var out, errOut strings.Builder
-	run([]string{"-dir", root, "-json"}, &out, &errOut)
-	baseline := filepath.Join(root, "baseline.json")
-	if err := os.WriteFile(baseline, []byte(out.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Grandfathered: same finding, baseline present, run passes.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-dir", root, "-baseline", baseline}, &out, &errOut); code != 0 {
-		t.Fatalf("baselined run = %d, want 0 (stdout %q, stderr %q)", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(out.String(), "[baselined]") {
-		t.Errorf("tolerated finding not reported as baselined:\n%s", out.String())
-	}
-
-	// Ratchet: fix the violation but keep the baseline entry — the
-	// stale entry fails the run until it is removed.
-	lib := filepath.Join(root, "lib.go")
-	fixed := "package lib\n\nimport \"fmt\"\n\nfunc wrap(err error) error { return fmt.Errorf(\"x: %w\", err) }\n"
-	if err := os.WriteFile(lib, []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-dir", root, "-baseline", baseline}, &out, &errOut); code != 1 {
-		t.Fatalf("stale-baseline run = %d, want 1 (stdout %q)", code, out.String())
-	}
-	if !strings.Contains(out.String(), "STALE") {
-		t.Errorf("stale entry not reported:\n%s", out.String())
-	}
-
-	// Empty baseline on a clean tree: exit 0.
-	if err := os.WriteFile(baseline, []byte("{\n  \"findings\": []\n}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"-dir", root, "-baseline", baseline}, &out, &errOut); code != 0 {
-		t.Fatalf("empty-baseline clean run = %d, want 0", code)
-	}
-}
-
 func TestRejectsForeignPatterns(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"/elsewhere/..."}, &out, &errOut); code != 2 {

@@ -142,6 +142,19 @@ func (d *Directory) user(ctx context.Context, name string, seed bool) (*SafeSyst
 				sp.Fail(err)
 				return nil, err
 			}
+			// Check the seed before anything is journaled: a seed that
+			// cannot apply must leave no creation record behind, or
+			// replay would resurrect a user that every access refuses.
+			var prefs []Preference
+			if d.defaults != nil {
+				if prefs, err = d.defaults(name); err == nil {
+					err = inner.tree.CheckInsert(prefs...)
+				}
+				if err != nil {
+					sp.Fail(err)
+					return nil, fmt.Errorf("contextpref: seeding user %q: %w", name, err)
+				}
+			}
 			// Journal the creation before the seeds so replay re-creates
 			// the user first; attach the persister before seeding so the
 			// seed preferences are journaled too.
@@ -153,16 +166,9 @@ func (d *Directory) user(ctx context.Context, name string, seed bool) (*SafeSyst
 				}
 				inner.SetPersister(sh.persist, name)
 			}
-			if d.defaults != nil {
-				prefs, err := d.defaults(name)
-				if err != nil {
-					sp.Fail(err)
-					return nil, fmt.Errorf("contextpref: seeding user %q: %w", name, err)
-				}
-				if err := inner.AddPreferencesCtx(ctx, prefs...); err != nil {
-					sp.Fail(err)
-					return nil, fmt.Errorf("contextpref: seeding user %q: %w", name, err)
-				}
+			if err := inner.AddPreferencesCtx(ctx, prefs...); err != nil {
+				sp.Fail(err)
+				return nil, fmt.Errorf("contextpref: seeding user %q: %w", name, err)
 			}
 		} else if sh.persist != nil {
 			inner.SetPersister(sh.persist, name)

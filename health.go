@@ -110,8 +110,8 @@ type Health struct {
 	// timer while healthy.
 	wake chan struct{}
 
-	// Telemetry handles, attached via RegisterHealthTelemetry; nil
-	// handles are no-ops.
+	// Telemetry handles, attached via RegisterShardHealthTelemetry;
+	// nil handles are no-ops.
 	transDegraded *telemetry.Counter
 	transHealthy  *telemetry.Counter
 	probeOK       *telemetry.Counter
@@ -202,7 +202,8 @@ func SetRoleAll(hs []*Health, r Role) {
 // call it first so a rejected write fails fast without touching the
 // journal. Degradation is reported ahead of role: a degraded follower
 // is first of all degraded. The replication apply path does not come
-// through here — followers graft leader batches via ApplyReplicated.
+// through here — followers graft leader batches via
+// ApplyShardReplicated.
 func (h *Health) Gate() error {
 	if h == nil {
 		return nil
@@ -352,16 +353,4 @@ func (s *SafeSystem) SetHealth(h *Health) {
 		return
 	}
 	s.sys.SetHealth(h)
-}
-
-// SetHealth attaches one health tracker to every shard of the
-// directory and to every existing and future per-user system — the
-// single-fault-domain configuration, where any user's persistence
-// failure flips the whole store read-only (they share one journal).
-// Sharded deployments attach an independent tracker per shard with
-// SetShardHealth instead.
-func (d *Directory) SetHealth(h *Health) {
-	for _, sh := range d.shards {
-		sh.setHealth(h)
-	}
 }

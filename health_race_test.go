@@ -16,9 +16,9 @@ import (
 )
 
 func TestHealthProberRace(t *testing.T) {
-	h := NewHealth()
+	h := NewShardHealth(0)
 	reg := NewTelemetryRegistry()
-	RegisterHealthTelemetry(h, reg)
+	RegisterShardHealthTelemetry([]*Health{h}, reg)
 	trans := reg.CounterVec("cp_health_transitions_total", "", "to")
 	degradedC, healthyC := trans.With("degraded"), trans.With("healthy")
 	probes := reg.CounterVec("cp_health_probe_total", "", "outcome")

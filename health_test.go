@@ -183,9 +183,9 @@ func TestDirectoryDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &countingPersister{}
-	h := NewHealth()
+	h := NewShardHealth(0)
 	d.SetPersister(p)
-	d.SetHealth(h)
+	d.SetShardHealth(0, h)
 
 	alice, err := d.User("alice")
 	if err != nil {

@@ -1,9 +1,10 @@
 package httpapi
 
 // End-to-end degraded-mode serving: ENOSPC injected under the journal
-// flips the server read-only — mutations get structured 503 "degraded"
-// with a Retry-After hint while reads and resolution keep serving —
-// and the probe loop flips it back once the fault lifts.
+// of a one-shard store flips the server read-only — mutations get
+// structured 503 "degraded" with a Retry-After hint while reads and
+// resolution keep serving — and the probe loop flips it back once the
+// fault lifts.
 
 import (
 	"context"
@@ -23,6 +24,7 @@ import (
 type errBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
+	Shard *int   `json:"shard"`
 }
 
 func decodeErr(t *testing.T, body string) errBody {
@@ -72,17 +74,17 @@ func TestDegradedModeServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	sys, err := contextpref.NewSystem(env, rel)
+	dir, err := contextpref.NewDirectory(env, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Replay(recs); err != nil {
+	if err := dir.ReplayShard(0, recs); err != nil {
 		t.Fatal(err)
 	}
-	sys.SetPersister(contextpref.NewJournalPersister(j), "")
-	health := contextpref.NewHealth()
-	sys.SetHealth(health)
-	srv, err := New(sys, WithHealth(health))
+	health := contextpref.NewShardHealth(0)
+	dir.SetShardHealth(0, health)
+	dir.SetShardPersister(0, contextpref.NewJournalPersister(j))
+	srv, err := NewMultiUser(dir, WithShardHealth([]*contextpref.Health{health}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +107,8 @@ func TestDegradedModeServing(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("POST on full disk = %d: %s", resp.StatusCode, body)
 	}
-	if e := decodeErr(t, body); e.Code != "degraded" {
-		t.Errorf("POST on full disk code = %q, want %q (%s)", e.Code, "degraded", e.Error)
+	if e := decodeErr(t, body); e.Code != "degraded" || e.Shard == nil || *e.Shard != 0 {
+		t.Errorf("POST on full disk = code %q shard %v, want %q naming shard 0 (%s)", e.Code, e.Shard, "degraded", e.Error)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("degraded mutation response missing Retry-After")
@@ -153,7 +155,8 @@ func TestDegradedModeServing(t *testing.T) {
 		t.Errorf("POST after recovery = %d: %s", resp.StatusCode, body)
 	}
 
-	// Everything acknowledged (and nothing else) survives a restart.
+	// Everything acknowledged (and nothing else) survives a restart:
+	// the default user's creation and the two acknowledged adds.
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +164,8 @@ func TestDegradedModeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs2) != 2 {
-		t.Errorf("restart replayed %d records, want the 2 acknowledged adds: %+v", len(recs2), recs2)
+	if len(recs2) != 3 || recs2[0].Op != journal.OpUser || recs2[1].Op != journal.OpAdd || recs2[2].Op != journal.OpAdd {
+		t.Errorf("restart replayed %+v, want the user creation and the 2 acknowledged adds", recs2)
 	}
 }
 

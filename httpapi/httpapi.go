@@ -16,11 +16,12 @@
 //	GET  /readyz               readiness: 200 {"status":"ready"} (leader) or
 //	                           {"status":"following"} (fresh follower), or 503
 //	                           {"status":"draining"} once shutdown has begun /
-//	                           {"status":"degraded"} while the store is read-only
-//	                           (a sharded store reports per-shard states and is
-//	                           degraded only when every shard is; see WithShardHealth) /
-//	                           {"status":"stale"} while a follower lags past its
-//	                           bound / {"status":"promoting"} during a takeover
+//	                           {"status":"degraded"} while every shard is
+//	                           read-only / {"status":"stale"} while every
+//	                           shard's replica stream lags past its bound /
+//	                           {"status":"promoting"} during a takeover; with a
+//	                           store the body also reports each shard's state
+//	                           (see WithShardHealth)
 //
 // Errors return JSON {"error": "...", "code": "..."} where code is one
 // of "bad_request" (400), "conflict" (409, a Def. 6 preference
@@ -34,26 +35,26 @@
 // on arrival), "deadline" (503 + Retry-After, the server-enforced
 // request deadline expired, see WithRequestTimeout), "canceled" (499,
 // the client disconnected before the response), "degraded" (503 +
-// Retry-After, the store is in read-only degraded mode after a
-// persistence failure — reads and resolution keep serving; see
-// WithHealth), "unavailable" (503, persisting the mutation to the
-// journal failed — the in-memory state was not modified), "read_only"
-// (503 + Retry-After, the node is a replication follower or is
-// mid-promotion — mutate on the leader instead), "stale" (503 +
-// Retry-After, the follower's replication lag exceeds its configured
-// staleness bound, see WithReplica), "chaos" (500, a
-// WithChaos-injected failure), and "internal" (500).
+// Retry-After, the user's shard is in read-only degraded mode after a
+// persistence failure — reads and resolution keep serving; the body
+// names the shard, see WithShardHealth), "unavailable" (503, persisting
+// the mutation to the journal failed — the in-memory state was not
+// modified), "read_only" (503 + Retry-After, the node is a replication
+// follower or is mid-promotion — mutate on the leader instead), "stale"
+// (503 + Retry-After, the replica stream of the user's shard lags past
+// its configured staleness bound, see WithShardReplica), "chaos" (500,
+// a WithChaos-injected failure), and "internal" (500).
 //
-// Replication. On a follower (see WithReplica and cmd/cpserver's
+// Replication. On a follower (see WithShardReplica and cmd/cpserver's
 // -follow flag) the same routes are mounted, but every mutation is
 // rejected with 503 "read_only" — the underlying store's role gate
 // surfaces *contextpref.ReadOnlyError — and the data-serving reads
 // (/preferences, /resolve, /query, /stats, /users) are answered only
-// while the follower's staleness is within the configured bound;
-// beyond it they fail with 503 "stale" + Retry-After so a load
+// while the staleness of the shards they read is within the configured
+// bound; beyond it they fail with 503 "stale" + Retry-After so a load
 // balancer retries against a fresher replica or the leader. /readyz
 // answers {"status":"following"} (200) from a fresh follower,
-// {"status":"stale"} (503) from a lagging one, and
+// {"status":"stale"} (503) when every shard lags, and
 // {"status":"promoting"} (503) while a takeover is in flight.
 //
 // Hardening. Every request passes through a middleware chain: a
@@ -124,10 +125,9 @@ type Server struct {
 	sem      chan struct{} // nil = unlimited
 	draining atomic.Bool
 	nextID   atomic.Uint64
-	health   *contextpref.Health // nil = no degraded-mode tracking
-	// shardHealth, when non-empty, holds the per-shard trackers of a
-	// sharded store (WithShardHealth): /readyz reports each shard's
-	// state, and the store is only "degraded" when every shard is.
+	// shardHealth, when non-empty, holds the per-shard trackers of the
+	// store (WithShardHealth): /readyz reports each shard's state, and
+	// the store is only "degraded" when every shard is.
 	shardHealth []*contextpref.Health
 	maxBody     int64 // request-body cap in bytes
 
@@ -146,16 +146,12 @@ type Server struct {
 	queued   atomic.Int64
 	ewmaBits atomic.Uint64
 
-	// staleness, when non-nil, marks this server a replication
-	// follower: it reports the current replication lag, and data reads
-	// beyond maxStaleness are rejected with 503 "stale" (WithReplica).
-	staleness    func() time.Duration
-	maxStaleness time.Duration
-	// shardStaleness, when non-nil, marks this server a sharded
-	// follower: it reports one shard's segment-stream lag, so reads are
-	// gated per shard and /readyz marks individual shards stale
-	// (WithShardReplica).
+	// shardStaleness, when non-nil, marks this server a replication
+	// follower: it reports one shard's segment-stream lag, so reads
+	// beyond maxStaleness are gated per shard with 503 "stale" and
+	// /readyz marks individual shards stale (WithShardReplica).
 	shardStaleness func(shard int) time.Duration
+	maxStaleness   time.Duration
 
 	logger        *slog.Logger // never nil after init
 	slowThreshold time.Duration
@@ -177,44 +173,20 @@ func WithMaxInflight(n int) ServerOption {
 	}
 }
 
-// WithHealth attaches the store's health tracker: /readyz answers 503
-// {"status":"degraded"} while the store is read-only, so load balancers
-// route mutations elsewhere while this replica still serves reads.
-// (The mutation handlers themselves need no flag — a degraded store
-// surfaces *contextpref.DegradedError, mapped to 503 "degraded".)
-func WithHealth(h *contextpref.Health) ServerOption {
-	return func(s *Server) { s.health = h }
-}
-
-// WithShardHealth attaches a sharded store's per-shard health trackers
-// (as returned by Directory.ShardHealths): /readyz reports every
-// shard's state individually, answers 200 {"status":"degraded_partial"}
-// while only some shards are degraded (the store still serves reads
+// WithShardHealth attaches the store's per-shard health trackers (as
+// returned by Directory.ShardHealths): /readyz reports every shard's
+// state individually, answers 200 {"status":"degraded_partial"} while
+// only some shards are degraded (the store still serves reads
 // everywhere and mutations on the healthy shards), and 503
 // {"status":"degraded"} only when every shard is read-only. Mutation
 // rejections from a degraded shard carry the shard index in the 503
-// body. Mutually exclusive with WithHealth.
+// body. Without it /readyz answers {"status":"ready"} until draining.
 func WithShardHealth(hs []*contextpref.Health) ServerOption {
 	return func(s *Server) { s.shardHealth = append([]*contextpref.Health(nil), hs...) }
 }
 
-// WithReplica marks the server as a replication follower: staleness
-// reports the current replication lag (e.g. replication.Follower's
-// Staleness method) and max is the serving bound. Data reads whose lag
-// exceeds max are rejected with 503 "stale" + Retry-After; mutations
-// are rejected by the store's role gate with 503 "read_only"
-// regardless of lag. max <= 0 disables the staleness check (reads
-// always serve), but the server still reports follower states on
-// /readyz. A nil staleness func disables the option entirely.
-func WithReplica(staleness func() time.Duration, max time.Duration) ServerOption {
-	return func(s *Server) {
-		s.staleness = staleness
-		s.maxStaleness = max
-	}
-}
-
-// WithShardReplica marks the server as a sharded replication
-// follower: staleness reports one shard's segment-stream lag (e.g.
+// WithShardReplica marks the server as a replication follower:
+// staleness reports one shard's segment-stream lag (e.g.
 // replication.Follower's SegmentStaleness method) and max is the
 // serving bound. Staleness is per shard because the segment streams
 // are independent fault domains — a stalled stream must not take reads
@@ -222,9 +194,11 @@ func WithReplica(staleness func() time.Duration, max time.Duration) ServerOption
 // user's shard alone; the global /users enumeration spans every shard,
 // so it is gated on the worst shard's lag (a stale shard could hide
 // recently created users). /readyz reports every shard's lag and marks
-// the stale ones individually. max <= 0 disables the gating (reads
-// always serve) but keeps the /readyz reporting. Requires multi-user
-// mode; combine with WithShardHealth for per-shard degraded states.
+// the stale ones individually. Mutations are rejected by the store's
+// role gate with 503 "read_only" regardless of lag. max <= 0 disables
+// the gating (reads always serve) but keeps the /readyz reporting.
+// Requires a server built by NewMultiUser; combine with WithShardHealth
+// for per-shard degraded states.
 func WithShardReplica(staleness func(shard int) time.Duration, max time.Duration) ServerOption {
 	return func(s *Server) {
 		s.shardStaleness = staleness
@@ -286,13 +260,8 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether the server is shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Directory returns the directory in multi-user mode (nil otherwise);
-// the serving binary uses it to snapshot state at shutdown.
+// Directory returns the directory in multi-user mode (nil otherwise).
 func (s *Server) Directory() *contextpref.Directory { return s.directory }
-
-// System returns the wrapped system in single-user mode (nil
-// otherwise).
-func (s *Server) System() *contextpref.SafeSystem { return s.single }
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
@@ -341,42 +310,26 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		s.writeShardReadyz(w)
 		return
 	}
-	if s.health.Degraded() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "degraded"})
-		return
-	}
-	switch s.health.Role() {
-	case contextpref.RolePromoting:
-		// Mid-takeover: neither a consistent replica nor a leader yet.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "promoting"})
-	case contextpref.RoleFollower:
-		if _, over := s.overStale(); over {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "stale"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "following"})
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// shardStatus is one shard's entry in the sharded /readyz payload.
+// shardStatus is one shard's entry in the /readyz payload.
 type shardStatus struct {
 	// Shard is the shard index.
 	Shard int `json:"shard"`
 	// Status is "healthy", "degraded", "following", or "stale".
 	Status string `json:"status"`
 	// LagSeconds is the shard's segment-stream replication lag,
-	// present only on a sharded follower (WithShardReplica).
+	// present only on a follower (WithShardReplica).
 	LagSeconds *float64 `json:"lag_seconds,omitempty"`
 }
 
-// writeShardReadyz answers /readyz for a sharded store: per-shard
-// states, 503 only when every shard is unusable (a partially degraded
-// or partially stale store still serves the rest). On a sharded
-// follower each shard carries its own segment-stream lag and is marked
-// stale individually — the streams fail independently, so a single
-// number would either hide a lagging shard or condemn the fresh ones.
+// writeShardReadyz answers /readyz for a store: per-shard states, 503
+// only when every shard is unusable (a partially degraded or partially
+// stale store still serves the rest). On a follower each shard carries
+// its own segment-stream lag and is marked stale individually — the
+// streams fail independently, so a single number would either hide a
+// lagging shard or condemn the fresh ones.
 func (s *Server) writeShardReadyz(w http.ResponseWriter) {
 	if len(s.shardHealth) > 0 && s.shardHealth[0].Role() == contextpref.RolePromoting {
 		// Mid-takeover: neither a consistent replica nor a leader yet.
@@ -424,26 +377,14 @@ func (s *Server) writeShardReadyz(w http.ResponseWriter) {
 	writeJSON(w, code, map[string]any{"status": status, "shards": shards})
 }
 
-// overStale reports the follower's replication lag and whether it
-// exceeds the serving bound. Always in-bound on a leader (no staleness
-// source) or when no bound is configured.
-func (s *Server) overStale() (time.Duration, bool) {
-	if s.staleness == nil || s.maxStaleness <= 0 {
-		return 0, false
-	}
-	lag := s.staleness()
-	return lag, lag > s.maxStaleness
-}
-
-// overStaleFor resolves the staleness gate for one request. On a
-// sharded follower the gate is per shard: a user-scoped read answers
-// for its own user's shard, and only the all-shard /users enumeration
-// answers for the worst one. shard is -1 when the whole store (or an
-// unsharded follower) answered.
+// overStaleFor resolves the staleness gate for one request on a
+// follower: a user-scoped read answers for its own user's shard, and
+// only the all-shard /users enumeration answers for the worst one.
+// Always in-bound on a leader (no staleness source) or when no bound is
+// configured.
 func (s *Server) overStaleFor(r *http.Request) (lag time.Duration, shard int, over bool) {
 	if s.shardStaleness == nil || s.maxStaleness <= 0 || s.directory == nil {
-		lag, over = s.overStale()
-		return lag, -1, over
+		return 0, 0, false
 	}
 	if r.URL.Path == "/users" {
 		for i := 0; i < s.directory.NumShards(); i++ {
@@ -608,13 +549,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if staleGated(r) {
 			if lag, shard, over := s.overStaleFor(r); over {
 				rec.Header().Set("Retry-After", "1")
-				err := fmt.Errorf("httpapi: replica is %s behind, over the %s staleness bound; retry a fresher replica",
-					lag.Round(time.Millisecond), s.maxStaleness)
-				if shard >= 0 {
-					err = fmt.Errorf("httpapi: shard %d's replica stream is %s behind, over the %s staleness bound; retry a fresher replica",
-						shard, lag.Round(time.Millisecond), s.maxStaleness)
-				}
-				writeError(rec, http.StatusServiceUnavailable, "stale", err)
+				writeError(rec, http.StatusServiceUnavailable, "stale",
+					fmt.Errorf("httpapi: shard %d's replica stream is %s behind, over the %s staleness bound; retry a fresher replica",
+						shard, lag.Round(time.Millisecond), s.maxStaleness))
 				return
 			}
 		}

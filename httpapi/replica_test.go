@@ -18,7 +18,7 @@ import (
 	"contextpref/internal/dataset"
 )
 
-// followerFixture is a multi-user server in follower role with a
+// followerFixture is a one-shard server in follower role with a
 // controllable staleness source.
 type followerFixture struct {
 	ts     *httptest.Server
@@ -34,7 +34,7 @@ func (f *followerFixture) setLag(d time.Duration) {
 	f.mu.Unlock()
 }
 
-func (f *followerFixture) staleness() time.Duration {
+func (f *followerFixture) staleness(int) time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.lag
@@ -63,14 +63,14 @@ func newFollowerServer(t *testing.T, maxStaleness time.Duration) *followerFixtur
 	if err := sys.LoadProfile("[accompanying_people = friends] => type = bar : 0.8\n"); err != nil {
 		t.Fatal(err)
 	}
-	health := contextpref.NewHealth()
+	health := contextpref.NewShardHealth(0)
 	health.SetRole(contextpref.RoleFollower)
-	dir.SetHealth(health)
+	dir.SetShardHealth(0, health)
 
 	f := &followerFixture{health: health}
 	srv, err := NewMultiUser(dir,
-		WithHealth(health),
-		WithReplica(f.staleness, maxStaleness))
+		WithShardHealth([]*contextpref.Health{health}),
+		WithShardReplica(f.staleness, maxStaleness))
 	if err != nil {
 		t.Fatal(err)
 	}

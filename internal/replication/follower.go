@@ -29,38 +29,28 @@ var ErrPromoted = errors.New("replication: follower promoted")
 // refusal is fatal to the whole Run, not one segment.
 var ErrHandshakeRefused = errors.New("replication: handshake refused by leader")
 
-// FollowerConfig tunes a Follower. Dial, Apply, and Reset are
-// required for an unsharded follower (NewFollower); a sharded follower
-// (NewShardedFollower) requires ApplySegment, ResetSegment, and one of
-// Dial/DialSegment. Everything else has serviceable defaults.
+// FollowerConfig tunes a Follower. DialSegment, ApplySegment, and
+// ResetSegment are required; everything else has serviceable defaults.
 type FollowerConfig struct {
-	// Dial opens a connection to the leader. Injectable so tests can
-	// splice in flaky in-memory connections.
-	Dial func(ctx context.Context) (net.Conn, error)
-	// DialSegment, when non-nil, dials the leader for one segment's
-	// stream, taking precedence over Dial. Production followers dial
-	// the same address for every segment; tests use the segment to
-	// fault one stream while leaving the others healthy.
+	// DialSegment opens a connection to the leader for one segment's
+	// stream. Production followers dial the same address for every
+	// segment; tests use the segment to fault one stream while leaving
+	// the others healthy, or splice in flaky in-memory connections.
 	DialSegment func(ctx context.Context, segment int) (net.Conn, error)
-	// Apply folds one replicated batch's records into the in-memory
-	// state, after the batch is durable in the local journal. An error
-	// is fatal to Run: disk and memory have diverged.
-	Apply func(recs []journal.Record) error
-	// Reset rebuilds the in-memory state from scratch with a
-	// snapshot's records, discarding whatever was there — the
-	// follower fell behind the leader's compaction horizon and
-	// bootstraps fresh.
-	Reset func(recs []journal.Record) error
-	// ApplySegment and ResetSegment are the sharded variants of Apply
-	// and Reset, scoped to one shard's records. When set they take
-	// precedence; a sharded reset must clear only its own shard.
+	// ApplySegment folds one replicated batch's records into the
+	// segment's shard of the in-memory state, after the batch is
+	// durable in the local journal segment. An error is a local fault
+	// that stops the segment's stream.
 	ApplySegment func(segment int, recs []journal.Record) error
+	// ResetSegment rebuilds one shard's in-memory state from scratch
+	// with a snapshot's records, discarding whatever was there — the
+	// segment fell behind the leader's compaction horizon and
+	// bootstraps fresh. It must clear only its own shard.
 	ResetSegment func(segment int, recs []journal.Record) error
 	// SegmentFault, when non-nil, is called once when one segment's
 	// stream stops on a local fault (wedged segment journal, failed
-	// apply) while other segments keep replicating — the hook that
-	// degrades that shard's health. Unsharded followers never call it:
-	// with one segment the fault is fatal to Run itself.
+	// apply) — the hook that degrades that shard's health. The other
+	// segments keep replicating.
 	SegmentFault func(segment int, err error)
 	// Backoff is the base reconnect delay, jittered by Rand to a
 	// uniform draw from [Backoff/2, Backoff*3/2); defaults to 500ms.
@@ -69,8 +59,8 @@ type FollowerConfig struct {
 	Backoff time.Duration
 	// Rand jitters reconnect backoff. Injected, never the global
 	// source, so chaos runs replay deterministically; nil disables
-	// jitter. Sharded followers derive one independent source per
-	// segment from it at Run start (rand.Rand is not goroutine-safe).
+	// jitter. Run derives one independent source per segment from it
+	// (rand.Rand is not goroutine-safe).
 	Rand *rand.Rand
 	// ReadTimeout bounds the silence on an established session before
 	// the follower treats it as dead and reconnects; defaults to 5s.
@@ -87,13 +77,9 @@ type FollowerConfig struct {
 	PromoteAfter time.Duration
 	// Logger receives session lifecycle events; nil discards them.
 	Logger *slog.Logger
-	// Metrics, when non-nil, records lag, applied records, reconnects,
-	// and installed snapshot sizes.
-	Metrics *Metrics
 	// SegmentMetrics, when non-nil, holds one instrument set per
-	// segment (index-aligned) so a sharded follower's lag and graft
-	// traffic are attributable per shard. Segments past its length
-	// fall back to Metrics.
+	// segment (index-aligned): lag, applied records, reconnects, and
+	// installed snapshot sizes, attributable per shard.
 	SegmentMetrics []*Metrics
 	// Tracer, when non-nil, records a replication.graft trace per
 	// applied batch, with the local durable append (and its fsync) as
@@ -101,12 +87,13 @@ type FollowerConfig struct {
 	Tracer *tracing.Tracer
 }
 
-// metricsFor resolves the instrument set for one segment.
+// metricsFor resolves the instrument set for one segment; nil without
+// telemetry.
 func (c *FollowerConfig) metricsFor(seg int) *Metrics {
-	if seg < len(c.SegmentMetrics) && c.SegmentMetrics[seg] != nil {
+	if seg < len(c.SegmentMetrics) {
 		return c.SegmentMetrics[seg]
 	}
-	return c.Metrics
+	return nil
 }
 
 // segmentState is one segment stream's replication bookkeeping.
@@ -120,10 +107,11 @@ type segmentState struct {
 // Follower tails a leader's replication stream into the local journal
 // segments and tracks how stale each is. It owns the transport and
 // durability; the in-memory state is the caller's, mutated only
-// through the Apply/Reset callbacks (serialized per segment — each
-// segment stream is a single loop, and segments never share state).
+// through the ApplySegment/ResetSegment callbacks (serialized per
+// segment — each segment stream is a single loop, and segments never
+// share state).
 //
-// A sharded follower runs one connection per segment. The segments are
+// The follower runs one connection per segment. The segments are
 // independent fault domains: a stalled, desynced, or faulted stream
 // degrades only its own shard, retried on its own jittered backoff,
 // while the promotion watchdog spans them all — the leader is silent
@@ -141,15 +129,6 @@ type Follower struct {
 	promoted  sync.Once
 }
 
-// NewFollower builds a follower over the single (unsharded) local
-// journal j. Run starts the tailing loop.
-func NewFollower(j *journal.Journal, cfg FollowerConfig) (*Follower, error) {
-	if cfg.Dial == nil || cfg.Apply == nil || cfg.Reset == nil {
-		return nil, errors.New("replication: FollowerConfig needs Dial, Apply, and Reset")
-	}
-	return newFollower([]*journal.Journal{j}, cfg)
-}
-
 // NewShardedFollower builds a follower over one local journal segment
 // per shard, index-aligned with the directory's shard numbering. The
 // shard count must match the leader's; the handshake refuses a
@@ -158,16 +137,9 @@ func NewShardedFollower(segs []*journal.Journal, cfg FollowerConfig) (*Follower,
 	if len(segs) == 0 {
 		return nil, errors.New("replication: NewShardedFollower needs at least one segment")
 	}
-	if cfg.Dial == nil && cfg.DialSegment == nil {
-		return nil, errors.New("replication: FollowerConfig needs Dial or DialSegment")
+	if cfg.DialSegment == nil || cfg.ApplySegment == nil || cfg.ResetSegment == nil {
+		return nil, errors.New("replication: FollowerConfig needs DialSegment, ApplySegment, and ResetSegment")
 	}
-	if cfg.ApplySegment == nil || cfg.ResetSegment == nil {
-		return nil, errors.New("replication: sharded FollowerConfig needs ApplySegment and ResetSegment")
-	}
-	return newFollower(segs, cfg)
-}
-
-func newFollower(segs []*journal.Journal, cfg FollowerConfig) (*Follower, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 500 * time.Millisecond
 	}
@@ -190,28 +162,13 @@ func newFollower(segs []*journal.Journal, cfg FollowerConfig) (*Follower, error)
 // Segments returns the number of journal segments the follower tails.
 func (f *Follower) Segments() int { return len(f.segs) }
 
-// Staleness reports how long the local state has possibly been behind
-// the leader: zero-ish while caught up (it grows between heartbeats
-// and snaps back), the time since the last confirmed catch-up while
-// lagging or disconnected, and effectively infinite before the first
-// sync. On a sharded follower it is the worst segment — the whole
-// store is only as fresh as its most lagging shard. Serving code
-// compares it against the -max-staleness bound.
-func (f *Follower) Staleness() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	worst := time.Duration(0)
-	for i := range f.st {
-		if s := stalenessOf(f.st[i].freshAt); s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
-// SegmentStaleness reports one segment's staleness, so serving code
-// can gate reads per shard instead of failing the whole store over one
-// lagging stream.
+// SegmentStaleness reports how long one segment's local state has
+// possibly been behind the leader: zero-ish while caught up (it grows
+// between heartbeats and snaps back), the time since the last
+// confirmed catch-up while lagging or disconnected, and effectively
+// infinite before the first sync. Serving code gates reads per shard
+// against the -max-staleness bound, so one lagging stream does not fail
+// the whole store.
 func (f *Follower) SegmentStaleness(seg int) time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -224,10 +181,6 @@ func stalenessOf(freshAt time.Time) time.Duration {
 	}
 	return time.Since(freshAt)
 }
-
-// AppliedSeq returns the newest sequence number durably applied to the
-// first segment — the whole store, for an unsharded follower.
-func (f *Follower) AppliedSeq() uint64 { return f.AppliedSeqSegment(0) }
 
 // AppliedSeqSegment returns the newest sequence number durably applied
 // to one segment's journal and in-memory shard.
@@ -283,13 +236,12 @@ func (f *Follower) heard() {
 // Run tails the leader until ctx is canceled (returns ctx.Err()), the
 // follower is promoted (returns ErrPromoted), the leader refuses the
 // handshake (returns ErrHandshakeRefused — the topologies disagree),
-// or local faults make tailing impossible (returns the fault). Each
-// segment tails on its own connection and reconnects from transport
-// faults with its own jittered backoff, resuming idempotently from its
-// local journal's sequence horizon; a local fault on one segment of a
-// sharded follower stops only that stream (reported through
-// SegmentFault) and Run keeps tailing the rest until every segment has
-// faulted.
+// or local faults have stopped every segment (returns an error
+// wrapping the last fault). Each segment tails on its own connection
+// and reconnects from transport faults with its own jittered backoff,
+// resuming idempotently from its local journal's sequence horizon; a
+// local fault on one segment stops only that stream (reported through
+// SegmentFault) and Run keeps tailing the rest.
 func (f *Follower) Run(ctx context.Context) error {
 	f.mu.Lock()
 	for i, j := range f.segs {
@@ -345,7 +297,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		case <-f.promoteCh:
 			return ErrPromoted
 		case err := <-fatalCh:
-			if len(f.segs) == 1 || errors.Is(err, ErrHandshakeRefused) {
+			if errors.Is(err, ErrHandshakeRefused) {
 				return err
 			}
 			if faulted++; faulted == len(f.segs) {
@@ -386,7 +338,7 @@ func (f *Follower) runSegment(ctx context.Context, seg int, rnd *rand.Rand, fata
 			f.mu.Lock()
 			f.st[seg].fault = err
 			f.mu.Unlock()
-			if cb := f.cfg.SegmentFault; cb != nil && len(f.segs) > 1 {
+			if cb := f.cfg.SegmentFault; cb != nil {
 				cb(seg, err)
 			}
 			fatalCh <- fmt.Errorf("segment %d: %w", seg, err)
@@ -413,35 +365,10 @@ func isFatal(err error) bool {
 // them as fatal.
 var errApply = errors.New("replication: applying replicated state")
 
-// dial opens the connection for one segment's stream.
-func (f *Follower) dial(ctx context.Context, seg int) (net.Conn, error) {
-	if f.cfg.DialSegment != nil {
-		return f.cfg.DialSegment(ctx, seg)
-	}
-	return f.cfg.Dial(ctx)
-}
-
-// apply folds one segment's replicated records into the in-memory
-// state.
-func (f *Follower) apply(seg int, recs []journal.Record) error {
-	if f.cfg.ApplySegment != nil {
-		return f.cfg.ApplySegment(seg, recs)
-	}
-	return f.cfg.Apply(recs)
-}
-
-// reset rebuilds one segment's in-memory state from snapshot records.
-func (f *Follower) reset(seg int, recs []journal.Record) error {
-	if f.cfg.ResetSegment != nil {
-		return f.cfg.ResetSegment(seg, recs)
-	}
-	return f.cfg.Reset(recs)
-}
-
 // session runs one connection of one segment's stream to the leader:
 // hello, bootstrap, then tail until a fault.
 func (f *Follower) session(ctx context.Context, seg int) error {
-	conn, err := f.dial(ctx, seg)
+	conn, err := f.cfg.DialSegment(ctx, seg)
 	if err != nil {
 		return err
 	}
@@ -460,14 +387,7 @@ func (f *Follower) session(ctx context.Context, seg int) error {
 	}()
 
 	jrn := f.segs[seg]
-	v2 := len(f.segs) > 1
-	var helloPayload []byte
-	if v2 {
-		helloPayload = encodeHelloV2(uint32(len(f.segs)), uint32(seg), jrn.LastSeq())
-	} else {
-		helloPayload = encodeHello(jrn.LastSeq())
-	}
-	if err := writeFrame(conn, frameHello, helloPayload); err != nil {
+	if err := writeFrame(conn, frameHello, 0, encodeHello(uint32(len(f.segs)), uint32(seg), jrn.LastSeq())); err != nil {
 		return err
 	}
 	f.log.Info("replication session established",
@@ -483,7 +403,7 @@ func (f *Follower) session(ctx context.Context, seg int) error {
 		if err := conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout)); err != nil {
 			return err
 		}
-		typ, payload, err := readFrame(conn)
+		typ, frameSeg, payload, err := readFrame(conn)
 		if err != nil {
 			return err
 		}
@@ -491,15 +411,8 @@ func (f *Follower) session(ctx context.Context, seg int) error {
 		if typ == frameRefuse {
 			return fmt.Errorf("%w: %s", ErrHandshakeRefused, decodeRefusal(payload))
 		}
-		if v2 {
-			frameSeg, body, err := splitSegment(payload)
-			if err != nil {
-				return err
-			}
-			if int(frameSeg) != seg {
-				return fmt.Errorf("replication: %c frame for segment %d on segment %d's stream", typ, frameSeg, seg)
-			}
-			payload = body
+		if int(frameSeg) != seg {
+			return fmt.Errorf("replication: %c frame for segment %d on segment %d's stream", typ, frameSeg, seg)
 		}
 		switch typ {
 		case frameSnapshot:
@@ -507,7 +420,7 @@ func (f *Follower) session(ctx context.Context, seg int) error {
 				return err
 			}
 		case frameBatch:
-			if err := f.applyBatch(conn, seg, v2, payload); err != nil {
+			if err := f.applyBatch(conn, seg, payload); err != nil {
 				return err
 			}
 		case frameHeartbeat:
@@ -521,23 +434,13 @@ func (f *Follower) session(ctx context.Context, seg int) error {
 			}
 			f.mu.Unlock()
 			f.markFresh(seg)
-			if err := f.writeAck(conn, seg, v2, f.AppliedSeqSegment(seg)); err != nil {
+			if err := writeFrame(conn, frameAck, uint32(seg), encodeSeq(f.AppliedSeqSegment(seg))); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("replication: leader sent unexpected %c frame", typ)
 		}
 	}
-}
-
-// writeAck sends the segment's durably-applied watermark back to the
-// leader, segment-tagged on v2 sessions.
-func (f *Follower) writeAck(conn net.Conn, seg int, v2 bool, seq uint64) error {
-	payload := encodeSeq(seq)
-	if v2 {
-		payload = prependSegment(uint32(seg), payload)
-	}
-	return writeFrame(conn, frameAck, payload)
 }
 
 // installSnapshot durably installs one segment's bootstrap snapshot
@@ -554,7 +457,7 @@ func (f *Follower) installSnapshot(seg int, payload []byte) error {
 	if lastSeq != horizon {
 		return fmt.Errorf("replication: snapshot declares horizon %d but renders %d", horizon, lastSeq)
 	}
-	if err := f.reset(seg, recs); err != nil {
+	if err := f.cfg.ResetSegment(seg, recs); err != nil {
 		return fmt.Errorf("%w: reset: %w", errApply, err)
 	}
 	f.mu.Lock()
@@ -573,9 +476,9 @@ func (f *Follower) installSnapshot(seg int, payload []byte) error {
 }
 
 // applyBatch grafts one shipped batch: durable first, then in-memory,
-// then ack. Duplicates are skipped idempotently; a sequence gap is
+// then the ack of the segment's durably-applied watermark. Duplicates are skipped idempotently; a sequence gap is
 // repaired by reconnecting (the next hello triggers a bootstrap).
-func (f *Follower) applyBatch(conn net.Conn, seg int, v2 bool, payload []byte) error {
+func (f *Follower) applyBatch(conn net.Conn, seg int, payload []byte) error {
 	firstSeq, commitSeq, data, err := decodeBatch(payload)
 	if err != nil {
 		return err
@@ -595,7 +498,7 @@ func (f *Follower) applyBatch(conn net.Conn, seg int, v2 bool, payload []byte) e
 		return err
 	}
 	if recs != nil {
-		if err := f.apply(seg, recs); err != nil {
+		if err := f.cfg.ApplySegment(seg, recs); err != nil {
 			err = fmt.Errorf("%w: %w", errApply, err)
 			sp.Fail(err)
 			return err
@@ -612,7 +515,7 @@ func (f *Follower) applyBatch(conn net.Conn, seg int, v2 bool, payload []byte) e
 	}
 	f.mu.Unlock()
 	f.markFresh(seg)
-	return f.writeAck(conn, seg, v2, lastSeq)
+	return writeFrame(conn, frameAck, uint32(seg), encodeSeq(lastSeq))
 }
 
 // sleep waits d or until cancellation/promotion.

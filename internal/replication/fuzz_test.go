@@ -17,18 +17,20 @@ import (
 func FuzzReplicationFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameHello, 0, 0, 0, 16})
-	f.Add(frameBytes(frameHello, encodeHello(42)))
+	// The retired cprepl/1 hello and untagged payloads, which a leader
+	// must refuse or reject.
+	f.Add(frameBytes(frameHello, []byte("cprepl/1\x00\x00\x00\x00\x00\x00\x00\x2a")))
 	f.Add(frameBytes(frameBatch, encodeBatch(1, 3, []byte("A\t1\t\"u\"\tdeadbeef\tp\n"))))
 	f.Add(frameBytes(frameSnapshot, encodeSnapshot(9, []byte("# cpjournal v2 snapshot\n"))))
 	f.Add(frameBytes(frameHeartbeat, encodeSeq(7)))
 	f.Add(frameBytes(frameAck, encodeSeq(8)))
-	// cprepl/2 shapes: the sharded hello, segment-tagged payloads, and
-	// the refusal frame.
-	f.Add(frameBytes(frameHello, encodeHelloV2(4, 2, 42)))
-	f.Add(frameBytes(frameHello, encodeHelloV2(0, 0, 1))) // zero shards must error, not panic
-	f.Add(frameBytes(frameBatch, prependSegment(2, encodeBatch(1, 3, []byte("A\t1\t\"u\"\tdeadbeef\tp\n")))))
-	f.Add(frameBytes(frameSnapshot, prependSegment(1, encodeSnapshot(9, []byte("# cpjournal v2 snapshot\n")))))
-	f.Add(frameBytes(frameAck, prependSegment(3, encodeSeq(8))))
+	// Well-formed frames: the hello, segment-tagged payloads, and the
+	// refusal frame.
+	f.Add(frameBytes(frameHello, encodeHello(4, 2, 42)))
+	f.Add(frameBytes(frameHello, encodeHello(0, 0, 1))) // zero shards must error, not panic
+	f.Add(sentFrame(frameBatch, 2, encodeBatch(1, 3, []byte("A\t1\t\"u\"\tdeadbeef\tp\n"))))
+	f.Add(sentFrame(frameSnapshot, 1, encodeSnapshot(9, []byte("# cpjournal v2 snapshot\n"))))
+	f.Add(sentFrame(frameAck, 3, encodeSeq(8)))
 	f.Add(frameBytes(frameRefuse, []byte("shard count mismatch: leader has 4 journal segments, follower declared 2")))
 	f.Add(frameBytes(frameRefuse, []byte{}))
 	// A header declaring 2 GiB with no payload behind it.
@@ -37,7 +39,7 @@ func FuzzReplicationFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			typ, payload, err := readFrame(r)
+			typ, _, payload, err := readFrame(r)
 			if err != nil {
 				break // any malformed input must land here, not panic
 			}
@@ -47,28 +49,12 @@ func FuzzReplicationFrame(f *testing.F) {
 			switch typ {
 			case frameHello:
 				decodeHello(payload)
-				decodeHelloAny(payload)
 			case frameBatch:
-				if first, commit, raw, err := decodeBatch(payload); err == nil {
-					_ = first
-					_ = commit
-					_ = raw
-				}
-				// A v2 session strips the segment tag first; both paths
-				// must fail cleanly on arbitrary bytes.
-				if _, body, err := splitSegment(payload); err == nil {
-					decodeBatch(body)
-				}
+				decodeBatch(payload)
 			case frameSnapshot:
 				decodeSnapshot(payload)
-				if _, body, err := splitSegment(payload); err == nil {
-					decodeSnapshot(body)
-				}
 			case frameHeartbeat, frameAck:
 				decodeSeq(payload)
-				if _, body, err := splitSegment(payload); err == nil {
-					decodeSeq(body)
-				}
 			case frameRefuse:
 				decodeRefusal(payload)
 			}
@@ -77,7 +63,7 @@ func FuzzReplicationFrame(f *testing.F) {
 }
 
 // FuzzReplicationFrameRoundTrip checks the codec against itself: every
-// encodable frame decodes back to the same type and payload.
+// encodable frame decodes back to the same type, segment and payload.
 func FuzzReplicationFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint64(1), []byte("x\n"))
 	f.Add(uint64(7), uint64(12), []byte{})
@@ -85,51 +71,74 @@ func FuzzReplicationFrameRoundTrip(f *testing.F) {
 		if len(data) > 1<<16 {
 			data = data[:1<<16]
 		}
+		shards := uint32(b%1024) + 1
+		seg := uint32(a % uint64(shards))
 		var buf bytes.Buffer
 		payloads := [][]byte{
-			encodeHello(a),
+			encodeHello(shards, seg, b),
 			encodeBatch(a, b, data),
 			encodeSnapshot(a, data),
 			encodeSeq(b),
 		}
 		types := []byte{frameHello, frameBatch, frameSnapshot, frameAck}
-		for i, p := range payloads {
-			if err := writeFrame(&buf, types[i], p); err != nil {
+		for _, err := range []error{
+			writeFrame(&buf, frameHello, seg, payloads[0]),
+			writeBatchFrame(&buf, seg, a, b, data),
+			writeSnapshotFrame(&buf, seg, a, data),
+			writeFrame(&buf, frameAck, seg, payloads[3]),
+		} {
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i, want := range payloads {
-			typ, got, err := readFrame(&buf)
+			typ, gotSeg, got, err := readFrame(&buf)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
-			if typ != types[i] || !bytes.Equal(got, want) {
+			wantSeg := seg
+			if typ == frameHello {
+				wantSeg = 0
+			}
+			if typ != types[i] || gotSeg != wantSeg || !bytes.Equal(got, want) {
 				t.Fatalf("frame %d: round-trip mismatch", i)
 			}
 		}
-		if _, _, err := readFrame(&buf); err != io.EOF {
+		if _, _, _, err := readFrame(&buf); err != io.EOF {
 			t.Fatalf("trailing read: %v, want EOF", err)
 		}
-		// The v2 codecs invert each other exactly: the sharded hello and
-		// the segment tag every v2 payload carries.
-		shards := uint32(b%1024) + 1
-		seg := uint32(a % uint64(shards))
-		h, err := decodeHelloAny(encodeHelloV2(shards, seg, b))
-		if err != nil || !h.v2 || h.shards != shards || h.segment != seg || h.lastSeq != b {
-			t.Fatalf("v2 hello round-trip: %+v, %v", h, err)
-		}
-		gotSeg, body, err := splitSegment(prependSegment(seg, data))
-		if err != nil || gotSeg != seg || !bytes.Equal(body, data) {
-			t.Fatalf("segment tag round-trip: %d, %v", gotSeg, err)
+		h, err := decodeHello(payloads[0])
+		if err != nil || h.shards != shards || h.segment != seg || h.lastSeq != b {
+			t.Fatalf("hello round-trip: %+v, %v", h, err)
 		}
 	})
 }
 
-// frameBytes renders one frame for seed corpora.
+// frameBytes renders one frame around a raw payload, with no segment
+// tag added, for seed corpora.
 func frameBytes(typ byte, payload []byte) []byte {
 	b := make([]byte, frameHeaderLen+len(payload))
 	b[0] = typ
 	binary.BigEndian.PutUint32(b[1:], uint32(len(payload)))
 	copy(b[frameHeaderLen:], payload)
 	return b
+}
+
+// encodeBatch builds the payload writeBatchFrame sends.
+func encodeBatch(firstSeq, commitSeq uint64, data []byte) []byte {
+	return append(append(encodeSeq(firstSeq), encodeSeq(commitSeq)...), data...)
+}
+
+// encodeSnapshot builds the payload writeSnapshotFrame sends.
+func encodeSnapshot(lastSeq uint64, data []byte) []byte {
+	return append(encodeSeq(lastSeq), data...)
+}
+
+// sentFrame renders one frame exactly as writeFrame sends it.
+func sentFrame(typ byte, seg uint32, payload []byte) []byte {
+	var b bytes.Buffer
+	if err := writeFrame(&b, typ, seg, payload); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
 }

@@ -29,13 +29,10 @@ type LeaderConfig struct {
 	SendBuffer int
 	// Logger receives session lifecycle events; nil discards them.
 	Logger *slog.Logger
-	// Metrics, when non-nil, records shipped record counts and
-	// snapshot bootstrap sizes.
-	Metrics *Metrics
 	// SegmentMetrics, when non-nil, holds one instrument set per
 	// journal segment (index-aligned with the segments passed to
-	// NewShardedLeader) so a sharded store's shipping is attributable
-	// per shard. Segments past its length fall back to Metrics.
+	// NewShardedLeader): shipped record counts and snapshot bootstrap
+	// sizes, attributable per shard.
 	SegmentMetrics []*Metrics
 	// Tracer, when non-nil, records a replication.ship trace per
 	// shipped batch. Ship traces are leader-originated roots (there is
@@ -44,12 +41,13 @@ type LeaderConfig struct {
 	Tracer *tracing.Tracer
 }
 
-// metricsFor resolves the instrument set for one segment.
+// metricsFor resolves the instrument set for one segment; nil without
+// telemetry.
 func (c *LeaderConfig) metricsFor(seg int) *Metrics {
-	if seg < len(c.SegmentMetrics) && c.SegmentMetrics[seg] != nil {
+	if seg < len(c.SegmentMetrics) {
 		return c.SegmentMetrics[seg]
 	}
-	return c.Metrics
+	return nil
 }
 
 // Leader serves the replication protocol over a store's journal
@@ -60,9 +58,9 @@ func (c *LeaderConfig) metricsFor(seg int) *Metrics {
 //
 // Each session carries exactly one segment, named by the follower's
 // hello, so every segment replicates on its own logical stream and a
-// slow or cut stream never blocks the others. An unsharded store is
-// the one-segment case and speaks cprepl/1 unchanged; a sharded
-// leader refuses hellos whose shard count does not match its own.
+// slow or cut stream never blocks the others. The leader refuses a
+// hello it does not recognize and one whose shard count does not match
+// its own.
 //
 // The journal taps run under each journal's lock and only enqueue into
 // per-session buffers — the leader never performs I/O or re-enters a
@@ -91,17 +89,12 @@ type subscriber struct {
 
 func (s *subscriber) overflow() { s.once.Do(func() { close(s.drop) }) }
 
-// NewLeader builds a leader over a single (unsharded) journal and
-// installs the append tap. The leader serves nothing until Serve is
-// called; Close detaches the tap.
-func NewLeader(j *journal.Journal, cfg LeaderConfig) *Leader {
-	return NewShardedLeader([]*journal.Journal{j}, cfg)
-}
-
 // NewShardedLeader builds a leader over one journal segment per shard,
 // index-aligned with the directory's shard numbering, and installs an
 // append tap on every segment. Followers must present the same shard
 // count at handshake; each of their connections streams one segment.
+// The leader serves nothing until Serve is called; Close detaches the
+// taps.
 func NewShardedLeader(segs []*journal.Journal, cfg LeaderConfig) *Leader {
 	if len(segs) == 0 {
 		panic("replication: NewShardedLeader needs at least one segment")
@@ -156,15 +149,10 @@ func (l *Leader) ship(seg int, firstSeq, commitSeq uint64, data []byte) {
 	}
 }
 
-// Acked returns the newest sequence number any follower has
-// acknowledged as durably applied on the first segment — the whole
-// store, for an unsharded leader. Promotion safety is stated against
-// this value: a promoted follower's state is a prefix of the acked
-// stream. Sharded leaders account per segment; see AckedSegment.
-func (l *Leader) Acked() uint64 { return l.AckedSegment(0) }
-
-// AckedSegment returns the newest acked sequence number for one
-// journal segment.
+// AckedSegment returns the newest sequence number any follower has
+// acknowledged as durably applied on one journal segment. Promotion
+// safety is stated against this value: a promoted follower's segment
+// is a prefix of the segment's acked stream.
 func (l *Leader) AckedSegment(seg int) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -259,27 +247,23 @@ func (l *Leader) serveConn(conn net.Conn) {
 // fault: the follower must not retry into the same topology mismatch.
 func (l *Leader) refuse(conn net.Conn, reason string) error {
 	// Best-effort: the refusal is advisory; the close is authoritative.
-	_ = writeFrame(conn, frameRefuse, []byte(reason))
+	_ = writeFrame(conn, frameRefuse, 0, []byte(reason))
 	return fmt.Errorf("replication: refused session: %s", reason)
 }
 
 func (l *Leader) session(conn net.Conn) error {
-	typ, payload, err := readFrame(conn)
+	typ, _, payload, err := readFrame(conn)
 	if err != nil {
 		return err
 	}
 	if typ != frameHello {
 		return fmt.Errorf("replication: session opened with %c frame, want hello", typ)
 	}
-	h, err := decodeHelloAny(payload)
+	h, err := decodeHello(payload)
 	if err != nil {
-		return err
+		return l.refuse(conn, err.Error())
 	}
-	switch {
-	case !h.v2 && len(l.segs) != 1:
-		return l.refuse(conn, fmt.Sprintf(
-			"sharded leader serves %d journal segments; cprepl/1 followers replicate only unsharded stores", len(l.segs)))
-	case h.v2 && int(h.shards) != len(l.segs):
+	if int(h.shards) != len(l.segs) {
 		return l.refuse(conn, fmt.Sprintf(
 			"shard count mismatch: leader has %d journal segments, follower declared %d", len(l.segs), h.shards))
 	}
@@ -287,15 +271,6 @@ func (l *Leader) session(conn net.Conn) error {
 	jrn := l.segs[seg]
 	followerSeq := h.lastSeq
 	metrics := l.cfg.metricsFor(seg)
-
-	// send serializes every leader→follower frame on this session,
-	// tagging payloads with the segment on v2.
-	sendFrame := func(typ byte, payload []byte) error {
-		if h.v2 {
-			payload = prependSegment(h.segment, payload)
-		}
-		return writeFrame(conn, typ, payload)
-	}
 
 	// Subscribe before reading the tail: batches committed during the
 	// bootstrap read land in the queue, and the dedupe below drops the
@@ -323,7 +298,7 @@ func (l *Leader) session(conn net.Conn) error {
 	readErr := make(chan error, 1)
 	go func() {
 		for {
-			typ, payload, err := readFrame(conn)
+			typ, ackSeg, payload, err := readFrame(conn)
 			if err != nil {
 				readErr <- err
 				conn.Close()
@@ -334,19 +309,10 @@ func (l *Leader) session(conn net.Conn) error {
 				conn.Close()
 				return
 			}
-			if h.v2 {
-				ackSeg, body, err := splitSegment(payload)
-				if err != nil {
-					readErr <- err
-					conn.Close()
-					return
-				}
-				if ackSeg != h.segment {
-					readErr <- fmt.Errorf("replication: ack for segment %d on segment %d's stream", ackSeg, h.segment)
-					conn.Close()
-					return
-				}
-				payload = body
+			if ackSeg != h.segment {
+				readErr <- fmt.Errorf("replication: ack for segment %d on segment %d's stream", ackSeg, h.segment)
+				conn.Close()
+				return
 			}
 			seq, err := decodeSeq(payload)
 			if err != nil {
@@ -376,7 +342,7 @@ func (l *Leader) session(conn net.Conn) error {
 		} else {
 			snapSeq = lastSeq
 		}
-		if err := sendFrame(frameSnapshot, encodeSnapshot(snapSeq, snap)); err != nil {
+		if err := writeSnapshotFrame(conn, h.segment, snapSeq, snap); err != nil {
 			return err
 		}
 		sentSeq = snapSeq
@@ -397,7 +363,7 @@ func (l *Leader) session(conn net.Conn) error {
 		sp.SetInt("records", int64(b.CommitSeq-b.FirstSeq))
 		sp.SetInt("bytes", int64(len(b.Data)))
 		sp.SetInt("commit_seq", int64(b.CommitSeq))
-		err := sendFrame(frameBatch, encodeBatch(b.FirstSeq, b.CommitSeq, b.Data))
+		err := writeBatchFrame(conn, h.segment, b.FirstSeq, b.CommitSeq, b.Data)
 		sp.Fail(err)
 		sp.End()
 		sp.Release()
@@ -425,7 +391,7 @@ func (l *Leader) session(conn net.Conn) error {
 				return err
 			}
 		case <-ticker.C:
-			if err := sendFrame(frameHeartbeat, encodeSeq(jrn.LastSeq())); err != nil {
+			if err := writeFrame(conn, frameHeartbeat, h.segment, encodeSeq(jrn.LastSeq())); err != nil {
 				return err
 			}
 		case <-sub.drop:

@@ -53,7 +53,9 @@ func (memAddr) String() string  { return "mem" }
 
 func (l *memListener) Addr() net.Addr { return memAddr{} }
 
-func (l *memListener) dial(ctx context.Context) (net.Conn, error) {
+// dial is a FollowerConfig.DialSegment: every segment's stream dials
+// the one listener, as production followers share one leader address.
+func (l *memListener) dial(ctx context.Context, _ int) (net.Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case l.ch <- server:
@@ -102,20 +104,21 @@ func (c *flakyConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// replicaState is a test in-memory state fed by Apply/Reset.
+// replicaState is a test in-memory state fed by ApplySegment and
+// ResetSegment.
 type replicaState struct {
 	mu   sync.Mutex
 	recs []journal.Record
 }
 
-func (s *replicaState) apply(recs []journal.Record) error {
+func (s *replicaState) apply(_ int, recs []journal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.recs = append(s.recs, recs...)
 	return nil
 }
 
-func (s *replicaState) reset(recs []journal.Record) error {
+func (s *replicaState) reset(_ int, recs []journal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.recs = append([]journal.Record(nil), recs...)
@@ -158,8 +161,8 @@ type replPair struct {
 	cancel             context.CancelFunc
 }
 
-// startPair wires a leader and a running follower over the in-memory
-// transport. wrap, when non-nil, intercepts each dialed conn.
+// startPair wires a one-segment leader and a running follower over the
+// in-memory transport. wrap, when non-nil, intercepts each dialed conn.
 func startPair(t *testing.T, fcfg FollowerConfig, wrap func(net.Conn) net.Conn) *replPair {
 	t.Helper()
 	lj, _, err := journal.OpenFS(faultfs.NewMemFS(), "leader")
@@ -171,12 +174,12 @@ func startPair(t *testing.T, fcfg FollowerConfig, wrap func(net.Conn) net.Conn) 
 		t.Fatal(err)
 	}
 	ln := newMemListener()
-	leader := NewLeader(lj, LeaderConfig{Heartbeat: 10 * time.Millisecond})
+	leader := NewShardedLeader([]*journal.Journal{lj}, LeaderConfig{Heartbeat: 10 * time.Millisecond})
 	go leader.Serve(ln)
 
 	state := &replicaState{}
-	fcfg.Dial = func(ctx context.Context) (net.Conn, error) {
-		c, err := ln.dial(ctx)
+	fcfg.DialSegment = func(ctx context.Context, seg int) (net.Conn, error) {
+		c, err := ln.dial(ctx, seg)
 		if err != nil {
 			return nil, err
 		}
@@ -185,15 +188,15 @@ func startPair(t *testing.T, fcfg FollowerConfig, wrap func(net.Conn) net.Conn) 
 		}
 		return c, nil
 	}
-	fcfg.Apply = state.apply
-	fcfg.Reset = state.reset
+	fcfg.ApplySegment = state.apply
+	fcfg.ResetSegment = state.reset
 	if fcfg.Backoff == 0 {
 		fcfg.Backoff = time.Millisecond
 	}
 	if fcfg.ReadTimeout == 0 {
 		fcfg.ReadTimeout = 200 * time.Millisecond
 	}
-	follower, err := NewFollower(fj, fcfg)
+	follower, err := NewShardedFollower([]*journal.Journal{fj}, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +224,10 @@ func (p *replPair) settle(t *testing.T) {
 	t.Helper()
 	want := p.leaderJ.LastSeq()
 	waitFor(t, 5*time.Second, fmt.Sprintf("follower to reach seq %d", want), func() bool {
-		return p.follower.AppliedSeq() == want
+		return p.follower.AppliedSeqSegment(0) == want
 	})
 	waitFor(t, 5*time.Second, "leader to see the ack", func() bool {
-		return p.leader.Acked() == want
+		return p.leader.AckedSegment(0) == want
 	})
 }
 
@@ -250,7 +253,7 @@ func TestShipSteadyState(t *testing.T) {
 	}
 	// Fresh heartbeats keep staleness bounded.
 	waitFor(t, time.Second, "staleness to collapse", func() bool {
-		return p.follower.Staleness() < 150*time.Millisecond
+		return p.follower.SegmentStaleness(0) < 150*time.Millisecond
 	})
 }
 
@@ -274,7 +277,7 @@ func TestSnapshotBootstrapColdFollower(t *testing.T) {
 	}
 
 	ln := newMemListener()
-	leader := NewLeader(lj, LeaderConfig{Heartbeat: 10 * time.Millisecond})
+	leader := NewShardedLeader([]*journal.Journal{lj}, LeaderConfig{Heartbeat: 10 * time.Millisecond})
 	go leader.Serve(ln)
 	defer leader.Close()
 
@@ -285,12 +288,12 @@ func TestSnapshotBootstrapColdFollower(t *testing.T) {
 	defer fj.Close()
 	state := &replicaState{}
 	var resets int
-	f, err := NewFollower(fj, FollowerConfig{
-		Dial:  ln.dial,
-		Apply: state.apply,
-		Reset: func(recs []journal.Record) error {
+	f, err := NewShardedFollower([]*journal.Journal{fj}, FollowerConfig{
+		DialSegment:  ln.dial,
+		ApplySegment: state.apply,
+		ResetSegment: func(seg int, recs []journal.Record) error {
 			resets++
-			return state.reset(recs)
+			return state.reset(seg, recs)
 		},
 		Backoff:     time.Millisecond,
 		ReadTimeout: 200 * time.Millisecond,
@@ -305,7 +308,7 @@ func TestSnapshotBootstrapColdFollower(t *testing.T) {
 	defer func() { cancel(); <-done }()
 
 	waitFor(t, 5*time.Second, "bootstrap to converge", func() bool {
-		return f.AppliedSeq() == lj.LastSeq()
+		return f.AppliedSeqSegment(0) == lj.LastSeq()
 	})
 	if resets != 1 {
 		t.Fatalf("Reset called %d times, want 1 (snapshot bootstrap)", resets)
@@ -424,13 +427,13 @@ func TestFollowerTornTailResyncs(t *testing.T) {
 	// Tail the leader from the recovered horizon: exactly the missing
 	// batch ships, and the follower converges.
 	ln := newMemListener()
-	leader := NewLeader(lj, LeaderConfig{Heartbeat: 10 * time.Millisecond})
+	leader := NewShardedLeader([]*journal.Journal{lj}, LeaderConfig{Heartbeat: 10 * time.Millisecond})
 	go leader.Serve(ln)
 	defer leader.Close()
 	state := &replicaState{}
-	state.reset(recovered)
-	f, err := NewFollower(fj2, FollowerConfig{
-		Dial: ln.dial, Apply: state.apply, Reset: state.reset,
+	state.reset(0, recovered)
+	f, err := NewShardedFollower([]*journal.Journal{fj2}, FollowerConfig{
+		DialSegment: ln.dial, ApplySegment: state.apply, ResetSegment: state.reset,
 		Backoff: time.Millisecond, ReadTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
@@ -442,7 +445,7 @@ func TestFollowerTornTailResyncs(t *testing.T) {
 	go func() { done <- f.Run(ctx) }()
 	defer func() { cancel(); <-done }()
 	waitFor(t, 5*time.Second, "torn follower to resync", func() bool {
-		return f.AppliedSeq() == lj.LastSeq()
+		return f.AppliedSeqSegment(0) == lj.LastSeq()
 	})
 	got := state.snapshot()
 	if len(got) != len(all) {
@@ -484,7 +487,7 @@ func TestPromoteOnLeaderSilence(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.settle(t)
-	applied := p.follower.AppliedSeq()
+	applied := p.follower.AppliedSeqSegment(0)
 	// Wedge: close the leader so nothing more is sent, ever.
 	p.leader.Close()
 	select {
@@ -496,8 +499,8 @@ func TestPromoteOnLeaderSilence(t *testing.T) {
 		t.Fatal("follower did not self-promote on leader silence")
 	}
 	// Promotion preserved the acked prefix.
-	if p.follower.AppliedSeq() != applied {
-		t.Fatalf("promotion changed applied seq %d -> %d", applied, p.follower.AppliedSeq())
+	if got := p.follower.AppliedSeqSegment(0); got != applied {
+		t.Fatalf("promotion changed applied seq %d -> %d", applied, got)
 	}
 	p.runErr <- nil
 }
@@ -512,7 +515,7 @@ func TestLaggedFollowerIsCutAndResyncs(t *testing.T) {
 	}
 	defer lj.Close()
 	ln := newMemListener()
-	leader := NewLeader(lj, LeaderConfig{Heartbeat: 5 * time.Millisecond, SendBuffer: 1})
+	leader := NewShardedLeader([]*journal.Journal{lj}, LeaderConfig{Heartbeat: 5 * time.Millisecond, SendBuffer: 1})
 	go leader.Serve(ln)
 	defer leader.Close()
 
@@ -524,21 +527,21 @@ func TestLaggedFollowerIsCutAndResyncs(t *testing.T) {
 	state := &replicaState{}
 	var mu sync.Mutex
 	throttle := true
-	f, err := NewFollower(fj, FollowerConfig{
-		Dial: ln.dial,
-		Apply: func(recs []journal.Record) error {
+	f, err := NewShardedFollower([]*journal.Journal{fj}, FollowerConfig{
+		DialSegment: ln.dial,
+		ApplySegment: func(seg int, recs []journal.Record) error {
 			mu.Lock()
 			slow := throttle
 			mu.Unlock()
 			if slow {
 				time.Sleep(20 * time.Millisecond)
 			}
-			return state.apply(recs)
+			return state.apply(seg, recs)
 		},
-		Reset:       state.reset,
-		Backoff:     time.Millisecond,
-		ReadTimeout: 300 * time.Millisecond,
-		Metrics:     &Metrics{},
+		ResetSegment:   state.reset,
+		Backoff:        time.Millisecond,
+		ReadTimeout:    300 * time.Millisecond,
+		SegmentMetrics: []*Metrics{{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -561,7 +564,7 @@ func TestLaggedFollowerIsCutAndResyncs(t *testing.T) {
 	throttle = false
 	mu.Unlock()
 	waitFor(t, 10*time.Second, "lagged follower to converge", func() bool {
-		return f.AppliedSeq() == lj.LastSeq()
+		return f.AppliedSeqSegment(0) == lj.LastSeq()
 	})
 	got := state.snapshot()
 	if len(got) != len(want) {
@@ -579,38 +582,38 @@ func TestWireRoundTrip(t *testing.T) {
 	defer c.Close()
 	defer s.Close()
 	go func() {
-		writeFrame(c, frameHello, encodeHello(42))
-		writeFrame(c, frameBatch, encodeBatch(7, 9, []byte("lines\n")))
-		writeFrame(c, frameSnapshot, encodeSnapshot(9, []byte("snap\n")))
-		writeFrame(c, frameHeartbeat, encodeSeq(11))
-		writeFrame(c, frameAck, encodeSeq(12))
+		writeFrame(c, frameHello, 0, encodeHello(4, 2, 42))
+		writeBatchFrame(c, 2, 7, 9, []byte("lines\n"))
+		writeSnapshotFrame(c, 2, 9, []byte("snap\n"))
+		writeFrame(c, frameHeartbeat, 2, encodeSeq(11))
+		writeFrame(c, frameAck, 2, encodeSeq(12))
 	}()
-	typ, p, err := readFrame(s)
+	typ, _, p, err := readFrame(s)
 	if err != nil || typ != frameHello {
 		t.Fatalf("frame 1: %c %v", typ, err)
 	}
-	if seq, err := decodeHello(p); err != nil || seq != 42 {
-		t.Fatalf("hello: %d %v", seq, err)
+	if h, err := decodeHello(p); err != nil || h.shards != 4 || h.segment != 2 || h.lastSeq != 42 {
+		t.Fatalf("hello: %+v %v", h, err)
 	}
-	typ, p, err = readFrame(s)
-	if err != nil || typ != frameBatch {
-		t.Fatalf("frame 2: %c %v", typ, err)
+	typ, seg, p, err := readFrame(s)
+	if err != nil || typ != frameBatch || seg != 2 {
+		t.Fatalf("frame 2: %c segment %d %v", typ, seg, err)
 	}
 	first, commit, data, err := decodeBatch(p)
 	if err != nil || first != 7 || commit != 9 || string(data) != "lines\n" {
 		t.Fatalf("batch: [%d,%d] %q %v", first, commit, data, err)
 	}
-	typ, p, err = readFrame(s)
-	if err != nil || typ != frameSnapshot {
-		t.Fatalf("frame 3: %c %v", typ, err)
+	typ, seg, p, err = readFrame(s)
+	if err != nil || typ != frameSnapshot || seg != 2 {
+		t.Fatalf("frame 3: %c segment %d %v", typ, seg, err)
 	}
 	if seq, data, err := decodeSnapshot(p); err != nil || seq != 9 || string(data) != "snap\n" {
 		t.Fatalf("snapshot: %d %q %v", seq, data, err)
 	}
 	for want := uint64(11); want <= 12; want++ {
-		_, p, err = readFrame(s)
-		if err != nil {
-			t.Fatal(err)
+		_, seg, p, err = readFrame(s)
+		if err != nil || seg != 2 {
+			t.Fatalf("seq frame: segment %d %v", seg, err)
 		}
 		if seq, err := decodeSeq(p); err != nil || seq != want {
 			t.Fatalf("seq frame: %d %v, want %d", seq, err, want)

@@ -1,15 +1,16 @@
 package replication
 
-// Coverage for protocol revision 2: per-segment streams over a sharded
-// store. Golden bytes pin both hello encodings and the refusal frame so
-// the wire format cannot drift; interop tests pin the v1↔v2 matrix
-// (and that topology mismatches are refused at handshake, not grafted);
+// Coverage for per-segment streams over a store of N > 1 shards.
+// Golden bytes pin the hello, a tagged frame and the refusal frame so
+// the wire format cannot drift; handshake tests pin that topology
+// mismatches and the retired cprepl/1 hello are refused, not grafted;
 // fault-domain tests show one segment's stall or local fault degrading
 // only its own shard; and the watchdog tests pin the promotion
 // contract — fire on total leader silence even while segment loops are
 // locally busy, never fire while any segment still hears frames.
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -96,18 +97,18 @@ func startShardedPair(t *testing.T, n int, fcfg FollowerConfig) *shardedPair {
 	p.leader = NewShardedLeader(p.leaderJs, LeaderConfig{Heartbeat: 10 * time.Millisecond})
 	go p.leader.Serve(p.ln)
 
-	if fcfg.Dial == nil && fcfg.DialSegment == nil {
-		fcfg.Dial = p.ln.dial
+	if fcfg.DialSegment == nil {
+		fcfg.DialSegment = p.ln.dial
 	}
 	fcfg.ApplySegment = func(seg int, recs []journal.Record) error {
 		if err := p.applyFault(seg); err != nil {
 			return err
 		}
-		return p.states[seg].apply(recs)
+		return p.states[seg].apply(seg, recs)
 	}
 	fcfg.ResetSegment = func(seg int, recs []journal.Record) error {
 		p.resets[seg].Add(1)
-		return p.states[seg].reset(recs)
+		return p.states[seg].reset(seg, recs)
 	}
 	if fcfg.Backoff == 0 {
 		fcfg.Backoff = time.Millisecond
@@ -248,13 +249,13 @@ func TestShardedSnapshotBootstrapPerSegment(t *testing.T) {
 		fjs[i] = j
 	}
 	f, err := NewShardedFollower(fjs, FollowerConfig{
-		Dial: ln.dial,
+		DialSegment: ln.dial,
 		ApplySegment: func(seg int, recs []journal.Record) error {
-			return states[seg].apply(recs)
+			return states[seg].apply(seg, recs)
 		},
 		ResetSegment: func(seg int, recs []journal.Record) error {
 			resets[seg].Add(1)
-			return states[seg].reset(recs)
+			return states[seg].reset(seg, recs)
 		},
 		Backoff:     time.Millisecond,
 		ReadTimeout: 200 * time.Millisecond,
@@ -351,6 +352,31 @@ func TestSegmentFaultDegradesOnlyThatShard(t *testing.T) {
 	}
 }
 
+func TestSegmentFaultOneSegment(t *testing.T) {
+	// One segment is the N = 1 case of the same contract: the hook
+	// fires, and Run returns once its only stream has stopped.
+	var hooked atomic.Int64
+	p := startShardedPair(t, 1, FollowerConfig{
+		SegmentFault: func(int, error) { hooked.Add(1) },
+	})
+	p.setApplyFault(0, errors.New("shard 0 state rejects the graft"))
+	if err := p.leaderJs[0].Append(shardRecs(0, 1, "a")...); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-p.runErr:
+		if err == nil || !strings.Contains(err.Error(), "shard 0 state rejects the graft") {
+			t.Fatalf("Run returned %v, want the segment's fault", err)
+		}
+		p.runErr <- nil // keep Cleanup's drain happy
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after its only segment faulted")
+	}
+	if n := hooked.Load(); n != 1 {
+		t.Fatalf("SegmentFault fired %d times, want 1", n)
+	}
+}
+
 func TestSegmentCutDegradesOnlyThatShard(t *testing.T) {
 	// One segment's transport is cut (live conn killed, redials refused)
 	// while the others keep hearing heartbeats: no promotion fires, the
@@ -367,7 +393,7 @@ func TestSegmentCutDegradesOnlyThatShard(t *testing.T) {
 			if seg == 1 && cut.Load() {
 				return nil, errors.New("injected: segment 1 transport refused")
 			}
-			c, err := ln.dial(ctx)
+			c, err := ln.dial(ctx, seg)
 			if err != nil {
 				return nil, err
 			}
@@ -520,9 +546,9 @@ func TestShardCountMismatchRefusedAtHandshake(t *testing.T) {
 			}
 			state := &replicaState{}
 			f, err := NewShardedFollower(fjs, FollowerConfig{
-				Dial:         ln.dial,
-				ApplySegment: func(_ int, recs []journal.Record) error { return state.apply(recs) },
-				ResetSegment: func(_ int, recs []journal.Record) error { return state.reset(recs) },
+				DialSegment:  ln.dial,
+				ApplySegment: state.apply,
+				ResetSegment: state.reset,
 				Backoff:      time.Millisecond,
 				ReadTimeout:  200 * time.Millisecond,
 			})
@@ -544,75 +570,61 @@ func TestShardCountMismatchRefusedAtHandshake(t *testing.T) {
 	})
 
 	t.Run("v1 against sharded leader", func(t *testing.T) {
-		err := runFollower(t, func() (*Follower, func()) {
-			fj, _, err := journal.OpenFS(faultfs.NewMemFS(), "follower")
-			if err != nil {
-				t.Fatal(err)
-			}
-			state := &replicaState{}
-			f, err := NewFollower(fj, FollowerConfig{
-				Dial:        ln.dial,
-				Apply:       state.apply,
-				Reset:       state.reset,
-				Backoff:     time.Millisecond,
-				ReadTimeout: 200 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f, func() { fj.Close() }
-		})
-		if !errors.Is(err, ErrHandshakeRefused) {
-			t.Fatalf("Run returned %v, want ErrHandshakeRefused", err)
+		// A cprepl/1 follower's hello is refused with a reason naming
+		// cprepl/2, so the old binary stops instead of retrying —
+		// against a one-segment leader as against this one.
+		lj, _, err := journal.OpenFS(faultfs.NewMemFS(), "leader")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), "cprepl/1") {
-			t.Fatalf("refusal reason not carried to the follower: %v", err)
+		defer lj.Close()
+		ln1 := newMemListener()
+		leader1 := NewShardedLeader([]*journal.Journal{lj}, LeaderConfig{Heartbeat: 10 * time.Millisecond})
+		go leader1.Serve(ln1)
+		defer leader1.Close()
+		v1Hello, _ := hex.DecodeString("63707265706c2f31000000000000002a") // "cprepl/1" + lastSeq 42
+		for _, l := range []*memListener{ln, ln1} {
+			conn, err := l.dial(context.Background(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeFrame(conn, frameHello, 0, v1Hello); err != nil {
+				t.Fatal(err)
+			}
+			typ, _, payload, err := readFrame(conn)
+			if err != nil || typ != frameRefuse {
+				t.Fatalf("answer to a cprepl/1 hello: %c %v, want an E refusal", typ, err)
+			}
+			if reason := decodeRefusal(payload); !strings.Contains(reason, "cprepl/2") {
+				t.Fatalf("refusal reason %q does not name cprepl/2", reason)
+			}
+			if _, _, _, err := readFrame(conn); err == nil {
+				t.Fatal("leader kept the refused session open")
+			}
+			conn.Close()
 		}
 	})
 }
 
 func TestHandshakeGoldenBytes(t *testing.T) {
-	// The hello payloads are pinned byte-for-byte: a drift here is a
+	// The hello payload is pinned byte-for-byte: a drift here is a
 	// wire-protocol break against every deployed peer.
-	if got := hex.EncodeToString(encodeHello(42)); got != "63707265706c2f31000000000000002a" {
-		t.Fatalf("v1 hello bytes drifted: %s", got)
+	if got := hex.EncodeToString(encodeHello(4, 2, 42)); got != "63707265706c2f320000000400000002000000000000002a" {
+		t.Fatalf("hello bytes drifted: %s", got)
 	}
-	if got := hex.EncodeToString(encodeHelloV2(4, 2, 42)); got != "63707265706c2f320000000400000002000000000000002a" {
-		t.Fatalf("v2 hello bytes drifted: %s", got)
-	}
-	// Both decode through the any-revision decoder.
-	h, err := decodeHelloAny(encodeHello(42))
-	if err != nil || h.v2 || h.shards != 1 || h.segment != 0 || h.lastSeq != 42 {
-		t.Fatalf("v1 hello decoded as %+v, %v", h, err)
-	}
-	h, err = decodeHelloAny(encodeHelloV2(4, 2, 42))
-	if err != nil || !h.v2 || h.shards != 4 || h.segment != 2 || h.lastSeq != 42 {
-		t.Fatalf("v2 hello decoded as %+v, %v", h, err)
+	h, err := decodeHello(encodeHello(4, 2, 42))
+	if err != nil || h.shards != 4 || h.segment != 2 || h.lastSeq != 42 {
+		t.Fatalf("hello decoded as %+v, %v", h, err)
 	}
 	// Internal consistency is enforced at decode.
-	if _, err := decodeHelloAny(encodeHelloV2(0, 0, 1)); err == nil {
+	if _, err := decodeHello(encodeHello(0, 0, 1)); err == nil {
 		t.Fatal("zero-shard hello decoded")
 	}
-	if _, err := decodeHelloAny(encodeHelloV2(4, 4, 1)); err == nil {
+	if _, err := decodeHello(encodeHello(4, 4, 1)); err == nil {
 		t.Fatal("out-of-range segment hello decoded")
 	}
-	if _, err := decodeHelloAny([]byte("cprepl/3--------")); err == nil {
+	if _, err := decodeHello([]byte("cprepl/3--------")); err == nil {
 		t.Fatal("unknown magic decoded")
-	}
-	// Segment tagging round-trips and rejects truncation.
-	tagged := prependSegment(3, encodeSeq(9))
-	if got := hex.EncodeToString(tagged); got != "000000030000000000000009" {
-		t.Fatalf("segment-tagged payload drifted: %s", got)
-	}
-	seg, body, err := splitSegment(tagged)
-	if err != nil || seg != 3 {
-		t.Fatalf("splitSegment: %d, %v", seg, err)
-	}
-	if s, err := decodeSeq(body); err != nil || s != 9 {
-		t.Fatalf("tagged seq: %d, %v", s, err)
-	}
-	if _, _, err := splitSegment([]byte{0, 0}); err == nil {
-		t.Fatal("truncated segment tag split")
 	}
 	// The refusal frame carries a bounded UTF-8 reason.
 	if got := decodeRefusal([]byte("shard count mismatch")); got != "shard count mismatch" {
@@ -620,5 +632,32 @@ func TestHandshakeGoldenBytes(t *testing.T) {
 	}
 	if got := decodeRefusal([]byte(strings.Repeat("x", 4096))); len(got) != 512 {
 		t.Fatalf("refusal reason not bounded: %d bytes", len(got))
+	}
+}
+
+func TestTaggedFrameGoldenBytes(t *testing.T) {
+	// One batch frame of segment 2, pinned byte-for-byte: type, length,
+	// the 4-byte segment tag, firstSeq, commitSeq, then the journal's
+	// own batch bytes.
+	var buf bytes.Buffer
+	data := []byte("A\t8\t\"alice\"\tdeadbeef\tx\n")
+	if err := writeBatchFrame(&buf, 2, 7, 9, data); err != nil {
+		t.Fatal(err)
+	}
+	const want = "420000002b" + "00000002" + "0000000000000007" + "0000000000000009" +
+		"4109380922616c6963652209646561646265656609780a"
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("tagged batch frame drifted:\n got %s\nwant %s", got, want)
+	}
+	typ, seg, payload, err := readFrame(&buf)
+	if err != nil || typ != frameBatch || seg != 2 {
+		t.Fatalf("read back: %c segment %d %v", typ, seg, err)
+	}
+	if first, commit, got, err := decodeBatch(payload); err != nil || first != 7 || commit != 9 || !bytes.Equal(got, data) {
+		t.Fatalf("batch: [%d,%d] %q %v", first, commit, got, err)
+	}
+	// A tagged frame too short to hold its tag is refused.
+	if _, _, _, err := readFrame(bytes.NewReader([]byte{frameAck, 0, 0, 0, 2, 0, 0})); err == nil {
+		t.Fatal("frame with a truncated segment tag decoded")
 	}
 }

@@ -6,32 +6,32 @@
 // # Wire format
 //
 // Every frame is a 1-byte type, a 4-byte big-endian payload length, and
-// the payload. Payload integers are big-endian u64. The frame types:
+// the payload. Sequence numbers are big-endian u64; shard counts and
+// segment IDs are big-endian u32. The frame types:
 //
-//	'H' hello      follower → leader   8-byte magic "cprepl/1" + lastSeq
-//	'S' snapshot   leader → follower   lastSeq + snapshot file rendering
-//	'B' batch      leader → follower   firstSeq + commitSeq + batch bytes
-//	'P' heartbeat  leader → follower   leader lastSeq
-//	'A' ack        follower → leader   follower applied seq
+//	'H' hello      follower → leader   "cprepl/2" + shards + segment + lastSeq
+//	'S' snapshot   leader → follower   segment + lastSeq + snapshot file rendering
+//	'B' batch      leader → follower   segment + firstSeq + commitSeq + batch bytes
+//	'P' heartbeat  leader → follower   segment + leader lastSeq
+//	'A' ack        follower → leader   segment + follower applied seq
 //	'E' refuse     leader → follower   UTF-8 reason; the leader closes
 //
-// # Protocol revision 2: sharded stores
+// # Segments
 //
-// A sharded store (PR 8) keeps one journal segment per shard, and each
-// segment replicates on its own connection — its own logical stream —
-// so a stall or fault on one segment never blocks another. A v2
-// session opens with the "cprepl/2" magic and a hello that names the
-// follower's shard count, the segment this connection carries, and the
-// follower's lastSeq *for that segment*. Every subsequent payload on a
-// v2 session is prefixed with the 4-byte segment ID, so a misrouted
-// frame is detected rather than grafted into the wrong shard.
+// A store keeps one journal segment per shard (N ≥ 1), and each segment
+// replicates on its own connection — its own logical stream — so a
+// stall or fault on one segment never blocks another. A session opens
+// with a hello that names the follower's shard count, the segment this
+// connection carries, and the follower's lastSeq for that segment.
+// Every later frame but the refusal starts its payload with the 4-byte
+// segment ID, so a misrouted frame is detected rather than grafted
+// into the wrong shard.
 //
-// The leader refuses a topology it cannot serve with an 'E' frame
-// before closing: a shard-count mismatch (grafting segment k of an
-// N-shard stream into an M-shard store would corrupt it), or a
-// cprepl/1 hello against a sharded leader. Unsharded stores keep
-// speaking cprepl/1 byte-for-byte, so v1 peers interoperate with them
-// unchanged.
+// The leader refuses a session it cannot serve with an 'E' frame
+// before closing: a hello it does not recognize (such as the retired
+// cprepl/1 revision), or a shard-count mismatch (grafting segment k of
+// an N-shard stream into an M-shard store would corrupt it). A refused
+// follower stops instead of retrying.
 //
 // Batch and snapshot payloads reuse the journal's on-disk encoding
 // byte-for-byte — CRC-framed record lines plus the batch commit marker
@@ -73,12 +73,12 @@ const (
 )
 
 // helloMagic opens every session; a mismatch means the peer is not
-// speaking this protocol (or version) and the connection is refused.
-// helloMagic2 opens a per-segment session against a sharded store.
-const (
-	helloMagic  = "cprepl/1"
-	helloMagic2 = "cprepl/2"
-)
+// speaking this protocol revision and the session is refused.
+const helloMagic = "cprepl/2"
+
+// helloLen is the hello payload length: magic, shard count, segment,
+// lastSeq.
+const helloLen = len(helloMagic) + 16
 
 // MaxFrame bounds a frame payload. Snapshot frames carry a full store
 // rendering, so the bound is generous; everything else is tiny.
@@ -87,138 +87,125 @@ const MaxFrame = 256 << 20
 // frameHeaderLen is the fixed frame prefix: type byte + u32 length.
 const frameHeaderLen = 5
 
-// writeFrame sends one frame. The payload may be nil.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("replication: %c frame payload %d bytes exceeds MaxFrame", typ, len(payload))
+// segTagLen is the segment tag that opens the payload of every frame
+// of a segment stream: all types but hello and refuse.
+const segTagLen = 4
+
+// tagged reports whether frames of type typ carry the segment tag.
+func tagged(typ byte) bool { return typ != frameHello && typ != frameRefuse }
+
+// writeFrame sends one frame whose payload is parts, concatenated in
+// the frame's one buffer. For a tagged type the segment tag is written
+// first; seg is ignored for hello and refuse.
+func writeFrame(w io.Writer, typ byte, seg uint32, parts ...[]byte) error {
+	n := 0
+	if tagged(typ) {
+		n = segTagLen
 	}
-	hdr := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > MaxFrame {
+		return fmt.Errorf("replication: %c frame payload %d bytes exceeds MaxFrame", typ, n)
+	}
+	buf := make([]byte, frameHeaderLen, frameHeaderLen+n)
+	buf[0] = typ
+	binary.BigEndian.PutUint32(buf[1:], uint32(n))
+	if tagged(typ) {
+		buf = binary.BigEndian.AppendUint32(buf, seg)
+	}
+	for _, p := range parts {
+		buf = append(buf, p...)
+	}
 	// One Write call per frame keeps frames intact under concurrent
 	// writers guarded by the caller's mutex.
-	if _, err := w.Write(append(hdr, payload...)); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("replication: writing %c frame: %w", typ, err)
 	}
 	return nil
 }
 
-// readFrame reads one frame. A declared length beyond MaxFrame is
-// refused before any payload allocation; a truncated payload surfaces
-// as io.ErrUnexpectedEOF. The payload is read through a LimitReader so
-// a length that lies about the stream cannot force an oversized
-// allocation.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
+// readFrame reads one frame and, for a tagged type, splits the segment
+// tag off the payload (seg is 0 for hello and refuse). A declared
+// length beyond MaxFrame is refused before any payload allocation; a
+// truncated payload surfaces as io.ErrUnexpectedEOF. The payload is
+// read through a LimitReader so a length that lies about the stream
+// cannot force an oversized allocation.
+func readFrame(r io.Reader) (typ byte, seg uint32, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("replication: truncated frame header: %w", err)
+			return 0, 0, nil, fmt.Errorf("replication: truncated frame header: %w", err)
 		}
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	typ = hdr[0]
 	switch typ {
 	case frameHello, frameSnapshot, frameBatch, frameHeartbeat, frameAck, frameRefuse:
 	default:
-		return 0, nil, fmt.Errorf("replication: unknown frame type 0x%02x", typ)
+		return 0, 0, nil, fmt.Errorf("replication: unknown frame type 0x%02x", typ)
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("replication: %c frame declares %d bytes, limit %d", typ, n, MaxFrame)
+		return 0, 0, nil, fmt.Errorf("replication: %c frame declares %d bytes, limit %d", typ, n, MaxFrame)
 	}
 	payload, err = io.ReadAll(io.LimitReader(r, int64(n)))
 	if err != nil {
-		return 0, nil, fmt.Errorf("replication: reading %c frame payload: %w", typ, err)
+		return 0, 0, nil, fmt.Errorf("replication: reading %c frame payload: %w", typ, err)
 	}
 	if uint32(len(payload)) != n {
-		return 0, nil, fmt.Errorf("replication: %c frame truncated: %d of %d bytes: %w",
+		return 0, 0, nil, fmt.Errorf("replication: %c frame truncated: %d of %d bytes: %w",
 			typ, len(payload), n, io.ErrUnexpectedEOF)
 	}
-	return typ, payload, nil
-}
-
-// encodeHello builds the hello payload: magic + follower lastSeq.
-func encodeHello(lastSeq uint64) []byte {
-	p := make([]byte, len(helloMagic)+8)
-	copy(p, helloMagic)
-	binary.BigEndian.PutUint64(p[len(helloMagic):], lastSeq)
-	return p
-}
-
-// decodeHello validates the magic and extracts the follower's lastSeq.
-func decodeHello(p []byte) (lastSeq uint64, err error) {
-	if len(p) != len(helloMagic)+8 {
-		return 0, fmt.Errorf("replication: hello payload is %d bytes, want %d", len(p), len(helloMagic)+8)
+	if !tagged(typ) {
+		return typ, 0, payload, nil
 	}
-	if string(p[:len(helloMagic)]) != helloMagic {
-		return 0, fmt.Errorf("replication: hello magic %q, want %q", p[:len(helloMagic)], helloMagic)
+	if len(payload) < segTagLen {
+		return 0, 0, nil, fmt.Errorf("replication: %c frame payload is %d bytes, want segment tag plus body", typ, len(payload))
 	}
-	return binary.BigEndian.Uint64(p[len(helloMagic):]), nil
+	return typ, binary.BigEndian.Uint32(payload), payload[segTagLen:], nil
 }
 
-// hello is a decoded hello of either protocol revision. A v1 hello
-// reads as the degenerate sharding: one shard, segment zero.
+// hello is a decoded hello: the follower's shard count, the segment
+// the session carries, and the follower's lastSeq for that segment.
 type hello struct {
-	v2      bool
 	shards  uint32
 	segment uint32
 	lastSeq uint64
 }
 
-// encodeHelloV2 builds the cprepl/2 hello payload: magic + follower
-// shard count + the segment this connection carries + the follower's
-// lastSeq for that segment.
-func encodeHelloV2(shards, segment uint32, lastSeq uint64) []byte {
-	p := make([]byte, len(helloMagic2)+16)
-	copy(p, helloMagic2)
-	binary.BigEndian.PutUint32(p[len(helloMagic2):], shards)
-	binary.BigEndian.PutUint32(p[len(helloMagic2)+4:], segment)
-	binary.BigEndian.PutUint64(p[len(helloMagic2)+8:], lastSeq)
+// encodeHello builds the hello payload: magic + follower shard count +
+// the segment this connection carries + the follower's lastSeq for
+// that segment.
+func encodeHello(shards, segment uint32, lastSeq uint64) []byte {
+	p := make([]byte, helloLen)
+	copy(p, helloMagic)
+	binary.BigEndian.PutUint32(p[len(helloMagic):], shards)
+	binary.BigEndian.PutUint32(p[len(helloMagic)+4:], segment)
+	binary.BigEndian.PutUint64(p[len(helloMagic)+8:], lastSeq)
 	return p
 }
 
-// decodeHelloAny accepts a hello of either revision, distinguished by
-// the magic, and validates its internal consistency (a v2 segment must
-// fall inside its own shard count). Topology compatibility with the
-// local store is the leader's call, not the codec's.
-func decodeHelloAny(p []byte) (hello, error) {
-	if len(p) == len(helloMagic)+8 && string(p[:len(helloMagic)]) == helloMagic {
-		return hello{shards: 1, lastSeq: binary.BigEndian.Uint64(p[len(helloMagic):])}, nil
+// decodeHello validates the magic and the hello's internal consistency
+// (the segment must fall inside its own shard count). Topology
+// compatibility with the local store is the leader's call, not the
+// codec's. An error's text is the reason the leader's refusal carries.
+func decodeHello(p []byte) (hello, error) {
+	if len(p) != helloLen || string(p[:len(helloMagic)]) != helloMagic {
+		return hello{}, fmt.Errorf("unrecognized hello (%d bytes): this leader speaks only %s", len(p), helloMagic)
 	}
-	if len(p) == len(helloMagic2)+16 && string(p[:len(helloMagic2)]) == helloMagic2 {
-		h := hello{
-			v2:      true,
-			shards:  binary.BigEndian.Uint32(p[len(helloMagic2):]),
-			segment: binary.BigEndian.Uint32(p[len(helloMagic2)+4:]),
-			lastSeq: binary.BigEndian.Uint64(p[len(helloMagic2)+8:]),
-		}
-		if h.shards == 0 {
-			return hello{}, fmt.Errorf("replication: hello declares zero shards")
-		}
-		if h.segment >= h.shards {
-			return hello{}, fmt.Errorf("replication: hello names segment %d of %d shards", h.segment, h.shards)
-		}
-		return h, nil
+	h := hello{
+		shards:  binary.BigEndian.Uint32(p[len(helloMagic):]),
+		segment: binary.BigEndian.Uint32(p[len(helloMagic)+4:]),
+		lastSeq: binary.BigEndian.Uint64(p[len(helloMagic)+8:]),
 	}
-	return hello{}, fmt.Errorf("replication: unrecognized hello payload (%d bytes; magic %q or %q)",
-		len(p), helloMagic, helloMagic2)
-}
-
-// prependSegment tags a v2 payload with the 4-byte segment ID that
-// routes it. Every non-hello frame of a v2 session carries one.
-func prependSegment(segment uint32, payload []byte) []byte {
-	p := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(p, segment)
-	copy(p[4:], payload)
-	return p
-}
-
-// splitSegment strips the v2 segment tag back off.
-func splitSegment(p []byte) (segment uint32, payload []byte, err error) {
-	if len(p) < 4 {
-		return 0, nil, fmt.Errorf("replication: v2 payload is %d bytes, want segment tag plus body", len(p))
+	if h.shards == 0 {
+		return hello{}, fmt.Errorf("hello declares zero shards")
 	}
-	return binary.BigEndian.Uint32(p), p[4:], nil
+	if h.segment >= h.shards {
+		return hello{}, fmt.Errorf("hello names segment %d of %d shards", h.segment, h.shards)
+	}
+	return h, nil
 }
 
 // decodeRefusal extracts the human-readable reason from an 'E' frame.
@@ -231,13 +218,10 @@ func decodeRefusal(p []byte) string {
 	return string(p)
 }
 
-// encodeBatch builds the batch payload: firstSeq + commitSeq + bytes.
-func encodeBatch(firstSeq, commitSeq uint64, data []byte) []byte {
-	p := make([]byte, 16+len(data))
-	binary.BigEndian.PutUint64(p, firstSeq)
-	binary.BigEndian.PutUint64(p[8:], commitSeq)
-	copy(p[16:], data)
-	return p
+// writeBatchFrame sends one batch frame, whose payload is firstSeq +
+// commitSeq + the batch bytes.
+func writeBatchFrame(w io.Writer, seg uint32, firstSeq, commitSeq uint64, data []byte) error {
+	return writeFrame(w, frameBatch, seg, encodeSeq(firstSeq), encodeSeq(commitSeq), data)
 }
 
 // decodeBatch splits the batch payload. The sequence header must be
@@ -256,12 +240,10 @@ func decodeBatch(p []byte) (firstSeq, commitSeq uint64, data []byte, err error) 
 	return firstSeq, commitSeq, p[16:], nil
 }
 
-// encodeSnapshot builds the snapshot payload: lastSeq + rendering.
-func encodeSnapshot(lastSeq uint64, data []byte) []byte {
-	p := make([]byte, 8+len(data))
-	binary.BigEndian.PutUint64(p, lastSeq)
-	copy(p[8:], data)
-	return p
+// writeSnapshotFrame sends one snapshot frame, whose payload is
+// lastSeq + the snapshot rendering.
+func writeSnapshotFrame(w io.Writer, seg uint32, lastSeq uint64, data []byte) error {
+	return writeFrame(w, frameSnapshot, seg, encodeSeq(lastSeq), data)
 }
 
 // decodeSnapshot splits the snapshot payload.
@@ -272,7 +254,8 @@ func decodeSnapshot(p []byte) (lastSeq uint64, data []byte, err error) {
 	return binary.BigEndian.Uint64(p), p[8:], nil
 }
 
-// encodeSeq builds the 8-byte payload shared by heartbeat and ack.
+// encodeSeq builds one big-endian sequence number: the whole payload of
+// heartbeat and ack, the head of snapshot and batch payloads.
 func encodeSeq(seq uint64) []byte {
 	p := make([]byte, 8)
 	binary.BigEndian.PutUint64(p, seq)

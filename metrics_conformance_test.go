@@ -100,11 +100,8 @@ func buildLiveRegistry(t *testing.T) *contextpref.TelemetryRegistry {
 	if m := contextpref.NewJournalMetrics(reg); m == nil {
 		t.Fatal("NewJournalMetrics returned nil for a live registry")
 	}
-	if m := contextpref.NewReplicationMetrics(reg); m == nil {
-		t.Fatal("NewReplicationMetrics returned nil for a live registry")
-	}
-	// The sharded-follower wiring: one replication instrument set per
-	// journal segment, exposed as cp_replication_shard_* vectors.
+	// The replication wiring: one instrument set per journal segment,
+	// exposed as cp_replication_shard_* vectors.
 	segms := contextpref.NewShardedReplicationMetrics(reg, 2)
 	if len(segms) != 2 {
 		t.Fatalf("NewShardedReplicationMetrics built %d instrument sets, want 2", len(segms))
@@ -116,7 +113,6 @@ func buildLiveRegistry(t *testing.T) *contextpref.TelemetryRegistry {
 		m.Reconnects.Inc()
 		m.SnapshotBytes.Set(float64(100 * i))
 	}
-	contextpref.RegisterHealthTelemetry(contextpref.NewHealth(), reg)
 	if m := contextpref.NewTraceMetrics(reg); m == nil {
 		t.Fatal("NewTraceMetrics returned nil for a live registry")
 	}

@@ -111,39 +111,15 @@ func NewJournalMetrics(reg *TelemetryRegistry) *journal.Metrics {
 	}
 }
 
-// NewReplicationMetrics builds the replication instruments
-// (cp_replication_*) shared by the leader and follower sides: the
-// staleness gauge a follower exports, record counters by direction,
-// session reconnects, and the last bootstrap snapshot size. A nil
-// registry returns nil, which the replication package treats as
-// "telemetry disabled".
-func NewReplicationMetrics(reg *TelemetryRegistry) *replication.Metrics {
-	if reg == nil {
-		return nil
-	}
-	records := reg.CounterVec("cp_replication_records_total",
-		"Journal records moved by replication, by direction (shipped by the leader, applied by the follower).",
-		"direction")
-	return &replication.Metrics{
-		Lag: reg.Gauge("cp_replication_lag_seconds",
-			"Follower staleness: seconds since the node last confirmed it held everything the leader announced."),
-		Shipped: records.With("shipped"),
-		Applied: records.With("applied"),
-		Reconnects: reg.Counter("cp_replication_reconnects_total",
-			"Follower replication sessions re-established after a transport fault."),
-		SnapshotBytes: reg.Gauge("cp_replication_snapshot_bytes",
-			"Size of the last bootstrap snapshot shipped or installed."),
-	}
-}
-
 // NewShardedReplicationMetrics builds one replication instrument set
 // per journal segment, as cp_replication_shard_* vectors carrying the
 // bounded "shard" label (the numeric segment index, fixed at store
-// creation) — the per-segment streams of a sharded store are
-// independent fault domains, so their lag, traffic, and reconnect
-// churn must be attributable per shard. Index-aligned with the
-// directory's shard numbering; pass the result as SegmentMetrics to
-// the replication Leader/Follower configs. A nil registry returns nil.
+// creation): the per-segment streams are independent fault domains, so
+// their lag, traffic, and reconnect churn must be attributable per
+// shard. Index-aligned with the directory's shard numbering; pass the
+// result as SegmentMetrics to the replication Leader/Follower configs.
+// A nil registry returns nil, which the replication package treats as
+// "telemetry disabled".
 func NewShardedReplicationMetrics(reg *TelemetryRegistry, shards int) []*replication.Metrics {
 	if reg == nil {
 		return nil
@@ -222,32 +198,43 @@ func RegisterBuildInfo(reg *TelemetryRegistry) {
 		With(goVersion, revision).Set(1)
 }
 
-// RegisterHealthTelemetry attaches the degraded-mode instruments
-// (cp_health_*) to a health tracker: a gauge for the current state,
-// transition counters by direction, and probe outcome counters. A nil
-// registry or tracker is a no-op.
-func RegisterHealthTelemetry(h *Health, reg *TelemetryRegistry) {
-	if h == nil || reg == nil {
-		return
-	}
-	registerHealthTelemetry(reg, h)
-}
-
-// RegisterShardHealthTelemetry attaches the health instruments to a
-// sharded directory's per-shard trackers (as returned by ShardHealths):
+// RegisterShardHealthTelemetry attaches the degraded-mode instruments
+// to a directory's per-shard trackers (as returned by ShardHealths):
 // the shared cp_health_* series aggregate across shards — the degraded
-// gauge reads 1 while any shard is degraded, transitions and probes sum
-// — and cp_shard_degraded breaks the state out per shard. A nil
-// registry is a no-op; nil trackers are skipped.
+// gauge reads 1 while any shard is degraded, transitions by target
+// state and probe outcomes sum — and cp_shard_degraded breaks the
+// state out per shard. A nil registry is a no-op; nil trackers are
+// skipped.
 func RegisterShardHealthTelemetry(hs []*Health, reg *TelemetryRegistry) {
 	if reg == nil {
 		return
 	}
-	registerHealthTelemetry(reg, hs...)
+	reg.GaugeFunc("cp_health_degraded",
+		"1 while the store (any shard) is degraded (read-only), 0 while healthy.", func() float64 {
+			for _, h := range hs {
+				if h.Degraded() {
+					return 1
+				}
+			}
+			return 0
+		})
+	trans := reg.CounterVec("cp_health_transitions_total",
+		"Health state transitions by target state.", "to")
+	probes := reg.CounterVec("cp_health_probe_total",
+		"Store probe attempts while degraded, by outcome.", "outcome")
 	shardG := reg.GaugeVec("cp_shard_degraded",
 		"1 while the shard is degraded (read-only), 0 while healthy.", "shard")
 	for _, h := range hs {
-		if h == nil || h.Shard() < 0 {
+		if h == nil {
+			continue
+		}
+		h.mu.Lock()
+		h.transDegraded = trans.With("degraded")
+		h.transHealthy = trans.With("healthy")
+		h.probeOK = probes.With("ok")
+		h.probeFail = probes.With("fail")
+		h.mu.Unlock()
+		if h.Shard() < 0 {
 			continue
 		}
 		g := shardG.With(strconv.Itoa(h.Shard()))
@@ -263,35 +250,5 @@ func RegisterShardHealthTelemetry(hs []*Health, reg *TelemetryRegistry) {
 				g.Set(0)
 			}
 		})
-	}
-}
-
-// registerHealthTelemetry is the shared core of the two registration
-// entry points, so each metric name has a single call site (the
-// cp_health_degraded gauge cannot be registered twice).
-func registerHealthTelemetry(reg *TelemetryRegistry, hs ...*Health) {
-	reg.GaugeFunc("cp_health_degraded",
-		"1 while the store (any shard) is degraded (read-only), 0 while healthy.", func() float64 {
-			for _, h := range hs {
-				if h.Degraded() {
-					return 1
-				}
-			}
-			return 0
-		})
-	trans := reg.CounterVec("cp_health_transitions_total",
-		"Health state transitions by target state.", "to")
-	probes := reg.CounterVec("cp_health_probe_total",
-		"Store probe attempts while degraded, by outcome.", "outcome")
-	for _, h := range hs {
-		if h == nil {
-			continue
-		}
-		h.mu.Lock()
-		h.transDegraded = trans.With("degraded")
-		h.transHealthy = trans.With("healthy")
-		h.probeOK = probes.With("ok")
-		h.probeFail = probes.With("fail")
-		h.mu.Unlock()
 	}
 }

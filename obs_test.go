@@ -192,13 +192,12 @@ func TestJournalTelemetry(t *testing.T) {
 }
 
 // TestHealthTelemetry: the degraded gauge, transition counters, and
-// probe counters report through RegisterHealthTelemetry.
+// probe counters report through RegisterShardHealthTelemetry.
 func TestHealthTelemetry(t *testing.T) {
 	reg := NewTelemetryRegistry()
-	h := NewHealth()
-	RegisterHealthTelemetry(h, reg)
-	RegisterHealthTelemetry(nil, reg) // no-ops
-	RegisterHealthTelemetry(h, nil)
+	h := NewShardHealth(0)
+	RegisterShardHealthTelemetry([]*Health{h, nil}, reg) // nil trackers are skipped
+	RegisterShardHealthTelemetry([]*Health{h}, nil)      // no-op
 
 	metric := func(name string) string {
 		var b strings.Builder

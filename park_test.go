@@ -395,9 +395,11 @@ func TestResidentSetConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkResidentSet(t, d, "replay")
+	// Both shards share one journal, so they share one fault domain.
 	d.SetPersister(NewJournalPersister(j))
 	h := NewHealth()
-	d.SetHealth(h)
+	d.SetShardHealth(0, h)
+	d.SetShardHealth(1, h)
 
 	users := shardUsers(2, 5)
 	for _, names := range users {
@@ -441,7 +443,7 @@ func TestResidentSetConsistency(t *testing.T) {
 	}
 	// A replayed drop (the replication apply path) of a resident user.
 	victim := pick(0, true)
-	if err := d.ApplyReplicated([]journal.Record{{Op: journal.OpDrop, User: victim}}); err != nil {
+	if err := d.ApplyShardReplicated(0, []journal.Record{{Op: journal.OpDrop, User: victim}}); err != nil {
 		t.Fatal(err)
 	}
 	checkResidentSet(t, d, "replayed drop")
@@ -464,9 +466,15 @@ func TestResidentSetConsistency(t *testing.T) {
 		sys.NumPreferences()
 		checkResidentSet(t, d, "access after failed drop "+name)
 	}
-	// A reset (snapshot bootstrap) empties every set.
-	if err := d.ResetReplicated(addRecords("fresh")); err != nil {
-		t.Fatal(err)
+	// A reset (snapshot bootstrap) of every shard empties every set.
+	for i := 0; i < d.NumShards(); i++ {
+		var recs []journal.Record
+		if d.ShardOf("fresh") == i {
+			recs = addRecords("fresh")
+		}
+		if err := d.ResetShardReplicated(i, recs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkResidentSet(t, d, "reset")
 }

@@ -279,52 +279,20 @@ func applyRecord(s *System, r journal.Record) error {
 	}
 }
 
-// ApplyReplicated folds leader-shipped records into the directory's
-// in-memory state. It bypasses the health gate and the persister: the
-// records are already durable in the local journal (grafted by
-// journal.AppendReplicated before this is called) and were validated
-// by the leader, and a follower's role gate would otherwise reject its
-// own replication stream. Each record lands under its own user's
-// handle lock, so the node serves reads while the stream applies; a
-// parked user's records accumulate without materializing its tree.
-func (d *Directory) ApplyReplicated(recs []journal.Record) error {
-	for i, r := range recs {
-		if err := d.replayRecord(r); err != nil {
-			return fmt.Errorf("contextpref: applying replicated record %d (user %q): %w", i, r.User, err)
-		}
-	}
-	return nil
-}
-
-// ResetReplicated replaces the directory's entire in-memory state with
-// a leader snapshot's records — the follower fell behind the leader's
-// compaction horizon and bootstrapped fresh (journal.InstallSnapshot
-// already replaced the durable state).
-func (d *Directory) ResetReplicated(recs []journal.Record) error {
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		dropped := make([]*SafeSystem, 0, len(sh.systems))
-		for _, sys := range sh.systems {
-			dropped = append(dropped, sys)
-		}
-		sh.systems = make(map[string]*SafeSystem)
-		sh.residents = make(map[*SafeSystem]struct{})
-		sh.mu.Unlock()
-		for _, sys := range dropped {
-			if sys.detach() {
-				sh.noteResident(-1)
-			}
-		}
-		sh.noteUsers()
-	}
-	return d.ApplyReplicated(recs)
-}
-
-// ApplyShardReplicated is ApplyReplicated for one shard's segment
-// stream. Like ReplayShard, it verifies that every record's user
-// hashes to the given shard before applying: the segment streams are
-// independent, so a misrouted record would silently land a user's
-// state in a shard no lookup ever consults.
+// ApplyShardReplicated folds leader-shipped records of one shard's
+// segment stream into the directory's in-memory state. It bypasses the
+// health gate and the persister: the records are already durable in
+// the local journal segment (grafted by journal.AppendReplicated
+// before this is called) and were validated by the leader, and a
+// follower's role gate would otherwise reject its own replication
+// stream. Each record lands under its own user's handle lock, so the
+// node serves reads while the stream applies; a parked user's records
+// accumulate without materializing its tree.
+//
+// Like ReplayShard, it verifies that every record's user hashes to the
+// given shard before applying: the segment streams are independent, so
+// a misrouted record would silently land a user's state in a shard no
+// lookup ever consults.
 func (d *Directory) ApplyShardReplicated(shard int, recs []journal.Record) error {
 	if shard < 0 || shard >= len(d.shards) {
 		return fmt.Errorf("contextpref: applying replicated shard %d: directory has %d shards", shard, len(d.shards))
@@ -342,9 +310,11 @@ func (d *Directory) ApplyShardReplicated(shard int, recs []journal.Record) error
 }
 
 // ResetShardReplicated replaces one shard's in-memory state with a
-// leader snapshot's records for that segment, leaving every other
-// shard untouched — a per-segment bootstrap must stay inside its own
-// fault domain.
+// leader snapshot's records for that segment — the segment fell behind
+// the leader's compaction horizon and bootstrapped fresh
+// (journal.InstallSnapshot already replaced the durable state). Every
+// other shard is left untouched: a per-segment bootstrap must stay
+// inside its own fault domain.
 func (d *Directory) ResetShardReplicated(shard int, recs []journal.Record) error {
 	if shard < 0 || shard >= len(d.shards) {
 		return fmt.Errorf("contextpref: resetting replicated shard %d: directory has %d shards", shard, len(d.shards))

@@ -174,6 +174,53 @@ func TestDirectoryJournalRecovery(t *testing.T) {
 	}
 }
 
+// TestDirectoryFailedSeedLeavesNoUser: a default profile whose
+// preferences conflict (Def. 6) fails every access to a new user, and
+// each failure leaves nothing behind — no user in memory, no creation
+// record in the journal, so a replay recovers no user either.
+func TestDirectoryFailedSeedLeavesNoUser(t *testing.T) {
+	env, rel := persistFixture(t)
+	desc := MustDescriptor(Eq("accompanying_people", "friends"))
+	clause := Clause{Attr: "type", Op: OpEq, Val: String("brewery")}
+	conflicting := []Preference{MustPreference(desc, clause, 0.9), MustPreference(desc, clause, 0.2)}
+	dir := t.TempDir()
+	j, _ := openJournal(t, dir)
+	d, err := NewDirectory(env, rel, WithDefaultProfile(func(string) ([]Preference, error) {
+		return conflicting, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetPersister(NewJournalPersister(j))
+	for i := 0; i < 2; i++ {
+		var conflict *ConflictError
+		if _, err := d.User("alice"); !errors.As(err, &conflict) {
+			t.Fatalf("access %d with a conflicting seed = %v, want *ConflictError", i, err)
+		}
+	}
+	if users := d.Users(); len(users) != 0 {
+		t.Fatalf("failed seed left users %v", users)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, recs := openJournal(t, dir)
+	if len(recs) != 0 {
+		t.Fatalf("failed seed journaled %+v", recs)
+	}
+	d2, err := NewDirectory(env, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Replay(recs); err != nil {
+		t.Fatal(err)
+	}
+	if users := d2.Users(); len(users) != 0 {
+		t.Fatalf("replay recovered users %v", users)
+	}
+}
+
 // TestDirectorySnapshotCompaction: snapshot + truncated journal still
 // recovers the full tree state (preference counts are normalized by
 // compaction, tree contents are exact).

@@ -56,7 +56,9 @@ func (l *pipeListener) Addr() net.Addr {
 	return &net.UnixAddr{Name: "pipe", Net: "unix"}
 }
 
-func (l *pipeListener) dial(context.Context) (net.Conn, error) {
+// dial is a replication.FollowerConfig.DialSegment: every segment's
+// stream dials the one listener.
+func (l *pipeListener) dial(context.Context, int) (net.Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case l.conns <- server:
@@ -69,7 +71,8 @@ func (l *pipeListener) dial(context.Context) (net.Conn, error) {
 }
 
 // followerState is the follower's in-memory side: a bare System fed by
-// the replication Apply/Reset callbacks. Only the follower loop touches
+// the replication ApplySegment/ResetSegment callbacks of a one-segment
+// stream. Only the follower loop touches
 // it until Run returns.
 type followerState struct {
 	env *Environment
@@ -86,7 +89,7 @@ func newFollowerState(t *testing.T, env *Environment, rel *Relation) *followerSt
 	return &followerState{env: env, rel: rel, sys: sys}
 }
 
-func (f *followerState) apply(recs []journal.Record) error {
+func (f *followerState) apply(_ int, recs []journal.Record) error {
 	for _, r := range recs {
 		if err := applyRecord(f.sys, r); err != nil {
 			return err
@@ -95,13 +98,13 @@ func (f *followerState) apply(recs []journal.Record) error {
 	return nil
 }
 
-func (f *followerState) reset(recs []journal.Record) error {
+func (f *followerState) reset(seg int, recs []journal.Record) error {
 	sys, err := NewSystem(f.env, f.rel)
 	if err != nil {
 		return err
 	}
 	f.sys = sys
-	return f.apply(recs)
+	return f.apply(seg, recs)
 }
 
 func TestReplicationFailoverTorture(t *testing.T) {
@@ -183,7 +186,7 @@ func TestReplicationFailoverTorture(t *testing.T) {
 			lsys.SetPersister(NewJournalPersister(lj), "")
 
 			ln := newPipeListener()
-			leader := replication.NewLeader(lj, replication.LeaderConfig{
+			leader := replication.NewShardedLeader([]*journal.Journal{lj}, replication.LeaderConfig{
 				Heartbeat: 2 * time.Millisecond,
 			})
 			go leader.Serve(ln)
@@ -195,12 +198,12 @@ func TestReplicationFailoverTorture(t *testing.T) {
 			}
 			defer fj.Close()
 			fstate := newFollowerState(t, env, rel)
-			fol, err := replication.NewFollower(fj, replication.FollowerConfig{
-				Dial:        ln.dial,
-				Apply:       fstate.apply,
-				Reset:       fstate.reset,
-				Backoff:     time.Millisecond,
-				ReadTimeout: 250 * time.Millisecond,
+			fol, err := replication.NewShardedFollower([]*journal.Journal{fj}, replication.FollowerConfig{
+				DialSegment:  ln.dial,
+				ApplySegment: fstate.apply,
+				ResetSegment: fstate.reset,
+				Backoff:      time.Millisecond,
+				ReadTimeout:  250 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -239,7 +242,7 @@ func TestReplicationFailoverTorture(t *testing.T) {
 
 			// Leader-wedge failover: tear the stream down, promote.
 			leader.Close()
-			ackedSeq := leader.Acked()
+			ackedSeq := leader.AckedSegment(0)
 			fol.Promote()
 			if err := <-runErr; !errors.Is(err, replication.ErrPromoted) {
 				t.Fatalf("follower run ended with %v, want ErrPromoted", err)
@@ -248,7 +251,7 @@ func TestReplicationFailoverTorture(t *testing.T) {
 			// Promotion safety: the promoted state sits on a whole batch
 			// boundary, equals that golden prefix, and holds every record
 			// the follower acknowledged.
-			applied := fol.AppliedSeq()
+			applied := fol.AppliedSeqSegment(0)
 			if applied < ackedSeq {
 				t.Fatalf("follower applied seq %d below its own acked watermark %d", applied, ackedSeq)
 			}
@@ -281,8 +284,8 @@ func TestReplicationFailoverTorture(t *testing.T) {
 	}
 }
 
-// TestReplicationStalenessSignal pins the Staleness contract the HTTP
-// layer's stale gate is built on: near zero while the stream is
+// TestReplicationStalenessSignal pins the SegmentStaleness contract the
+// HTTP layer's stale gate is built on: near zero while the stream is
 // heartbeating, and growing without bound once the leader is gone.
 func TestReplicationStalenessSignal(t *testing.T) {
 	env, rel := persistFixture(t)
@@ -299,7 +302,7 @@ func TestReplicationStalenessSignal(t *testing.T) {
 	lsys.SetPersister(NewJournalPersister(lj), "")
 
 	ln := newPipeListener()
-	leader := replication.NewLeader(lj, replication.LeaderConfig{Heartbeat: 2 * time.Millisecond})
+	leader := replication.NewShardedLeader([]*journal.Journal{lj}, replication.LeaderConfig{Heartbeat: 2 * time.Millisecond})
 	go leader.Serve(ln)
 
 	fj, _, err := journal.OpenFS(faultfs.NewMemFS(), "/replica")
@@ -308,12 +311,12 @@ func TestReplicationStalenessSignal(t *testing.T) {
 	}
 	defer fj.Close()
 	fstate := newFollowerState(t, env, rel)
-	fol, err := replication.NewFollower(fj, replication.FollowerConfig{
-		Dial:        ln.dial,
-		Apply:       fstate.apply,
-		Reset:       fstate.reset,
-		Backoff:     time.Millisecond,
-		ReadTimeout: 250 * time.Millisecond,
+	fol, err := replication.NewShardedFollower([]*journal.Journal{fj}, replication.FollowerConfig{
+		DialSegment:  ln.dial,
+		ApplySegment: fstate.apply,
+		ResetSegment: fstate.reset,
+		Backoff:      time.Millisecond,
+		ReadTimeout:  250 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,16 +334,16 @@ func TestReplicationStalenessSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for fol.AppliedSeq() < lj.LastSeq() {
+	for fol.AppliedSeqSegment(0) < lj.LastSeq() {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never caught up: applied %d, leader %d", fol.AppliedSeq(), lj.LastSeq())
+			t.Fatalf("follower never caught up: applied %d, leader %d", fol.AppliedSeqSegment(0), lj.LastSeq())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	// Caught up and heartbeating: staleness stays inside a generous
 	// bound across several heartbeat intervals.
 	for i := 0; i < 5; i++ {
-		if s := fol.Staleness(); s > time.Second {
+		if s := fol.SegmentStaleness(0); s > time.Second {
 			t.Fatalf("caught-up follower reports staleness %v", s)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -349,12 +352,12 @@ func TestReplicationStalenessSignal(t *testing.T) {
 	// layer's -max-staleness gate will trip no matter the bound.
 	leader.Close()
 	time.Sleep(30 * time.Millisecond)
-	s1 := fol.Staleness()
+	s1 := fol.SegmentStaleness(0)
 	if s1 < 20*time.Millisecond {
 		t.Fatalf("staleness %v after 30ms of leader silence", s1)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if s2 := fol.Staleness(); s2 <= s1 {
+	if s2 := fol.SegmentStaleness(0); s2 <= s1 {
 		t.Fatalf("staleness did not grow while disconnected: %v then %v", s1, s2)
 	}
 	cancel()

@@ -272,8 +272,8 @@ func TestRemoveUserDropFailureKeepsUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetPersister(NewJournalPersister(j))
-	h := NewHealth()
-	d.SetHealth(h)
+	h := NewShardHealth(0)
+	d.SetShardHealth(0, h)
 
 	alice, err := d.User("alice")
 	if err != nil {
@@ -344,7 +344,7 @@ func TestRemoveUserDropFailureReplayAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetPersister(NewJournalPersister(j))
-	d.SetHealth(NewHealth())
+	d.SetShardHealth(0, NewShardHealth(0))
 	alice, err := d.User("alice")
 	if err != nil {
 		t.Fatal(err)

@@ -260,7 +260,7 @@ func TestShardedReplicationFailoverTorture(t *testing.T) {
 			}
 			fdir := newShardedDir(t)
 			fol, err := replication.NewShardedFollower(fjs, replication.FollowerConfig{
-				Dial:         ln.dial,
+				DialSegment:  ln.dial,
 				ApplySegment: fdir.ApplyShardReplicated,
 				ResetSegment: fdir.ResetShardReplicated,
 				Backoff:      time.Millisecond,
@@ -382,7 +382,7 @@ func TestShardedReplicationFailoverTorture(t *testing.T) {
 		next, cuts := 0, 0
 		fol, err := replication.NewShardedFollower(fjs, replication.FollowerConfig{
 			DialSegment: func(ctx context.Context, seg int) (net.Conn, error) {
-				c, err := ln.dial(ctx)
+				c, err := ln.dial(ctx, seg)
 				if err != nil {
 					return nil, err
 				}
