@@ -9,7 +9,8 @@
 //	GET  /stats                profile-tree storage statistics
 //	GET  /preferences          the stored profile in the line encoding (text/plain)
 //	POST /preferences          add preferences (text/plain body, one per line)
-//	DELETE /preferences        remove preferences (same body format)
+//	DELETE /preferences        remove preferences (same body format; every
+//	                           line is validated before anything changes)
 //	POST /query                run a contextual query (JSON body, see QueryRequest)
 //	GET  /resolve?state=v1,v2  context resolution for a state (all candidates)
 //	GET  /healthz              liveness: always {"status":"ok"} while the process serves
@@ -750,13 +751,13 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 
 // handleRemove deletes preferences given one per line in the same text
 // encoding POST accepts; the response reports how many leaf entries
-// were removed.
+// were removed. Every line is parsed and its descriptor validated
+// before the user is looked up, so a 400 means nothing changed: no
+// removal, and no user created by its first access. Each line is then
+// its own removal and its own journal append: a failure past validation
+// (a degraded shard, a failed append) leaves the lines before it
+// removed. The body is not one atomic unit.
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
-	sys, err := s.system(r)
-	if err != nil {
-		mutationError(w, err)
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		bodyError(w, err)
@@ -768,17 +769,29 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		s.writeCtxError(w, err)
 		return
 	}
-	removed := 0
+	var ps []contextpref.Preference
 	for _, line := range strings.Split(string(body), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		p, err := contextpref.ParsePreference(line)
+		if err == nil {
+			_, err = p.Descriptor.Context(s.environment)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", err)
 			return
 		}
+		ps = append(ps, p)
+	}
+	sys, err := s.system(r)
+	if err != nil {
+		mutationError(w, err)
+		return
+	}
+	removed := 0
+	for _, p := range ps {
 		n, err := sys.RemovePreferenceCtx(r.Context(), p)
 		if err != nil {
 			mutationError(w, err)

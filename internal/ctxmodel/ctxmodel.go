@@ -9,6 +9,7 @@ package ctxmodel
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -352,12 +353,23 @@ func Between(param, lo, hi string) ParamDescriptor {
 }
 
 // Context implements Def. 2: the finite set of values the descriptor
-// denotes, validated against the parameter's extended domain.
+// denotes, validated against the parameter's extended domain. The
+// result is the caller's own slice.
 func (pd ParamDescriptor) Context(e *Environment) ([]string, error) {
 	p, ok := e.ParamByName(pd.Param)
 	if !ok {
 		return nil, fmt.Errorf("ctxmodel: unknown context parameter %q", pd.Param)
 	}
+	vals, err := pd.values(p)
+	if err != nil || pd.Kind != KindEq {
+		return vals, err
+	}
+	return slices.Clone(vals), nil
+}
+
+// values is Context for the descriptor's own parameter p, except that
+// an eq-descriptor returns pd.Values itself, to be read only.
+func (pd ParamDescriptor) values(p *Parameter) ([]string, error) {
 	switch pd.Kind {
 	case KindEq:
 		if len(pd.Values) != 1 {
@@ -366,7 +378,7 @@ func (pd ParamDescriptor) Context(e *Environment) ([]string, error) {
 		if !p.h.Contains(pd.Values[0]) {
 			return nil, fmt.Errorf("ctxmodel: value %q not in edom(%s)", pd.Values[0], pd.Param)
 		}
-		return []string{pd.Values[0]}, nil
+		return pd.Values, nil
 	case KindIn:
 		if len(pd.Values) == 0 {
 			return nil, fmt.Errorf("ctxmodel: %s: empty in-descriptor", pd.Param)
@@ -417,14 +429,39 @@ type Descriptor struct {
 // NewDescriptor builds a composite descriptor, rejecting repeated
 // parameters. An empty descriptor denotes the (all, ..., all) state.
 func NewDescriptor(pds ...ParamDescriptor) (Descriptor, error) {
-	seen := make(map[string]bool, len(pds))
-	for _, pd := range pds {
-		if seen[pd.Param] {
-			return Descriptor{}, fmt.Errorf("ctxmodel: composite descriptor repeats parameter %q", pd.Param)
+	return DescriptorFrom(append([]ParamDescriptor(nil), pds...))
+}
+
+// DescriptorFrom is NewDescriptor for a slice the descriptor takes
+// over: the caller must not modify pds afterwards. Parsers that build
+// the slice themselves use it to skip the copy.
+func DescriptorFrom(pds []ParamDescriptor) (Descriptor, error) {
+	// A handful of atoms is checked pairwise, without allocating; a
+	// long list, which only outside input can make, through a set.
+	if len(pds) > 8 {
+		seen := make(map[string]bool, len(pds))
+		for _, pd := range pds {
+			if seen[pd.Param] {
+				return Descriptor{}, repeatedParam(pd.Param)
+			}
+			seen[pd.Param] = true
 		}
-		seen[pd.Param] = true
+		return Descriptor{pds: pds}, nil
 	}
-	return Descriptor{pds: append([]ParamDescriptor(nil), pds...)}, nil
+	for i := 1; i < len(pds); i++ {
+		for _, earlier := range pds[:i] {
+			if earlier.Param == pds[i].Param {
+				return Descriptor{}, repeatedParam(pds[i].Param)
+			}
+		}
+	}
+	return Descriptor{pds: pds}, nil
+}
+
+// repeatedParam is the error for a composite descriptor naming a
+// parameter twice.
+func repeatedParam(param string) error {
+	return fmt.Errorf("ctxmodel: composite descriptor repeats parameter %q", param)
 }
 
 // MustDescriptor is NewDescriptor that panics on error; for literals in
@@ -451,21 +488,38 @@ func (d Descriptor) ParamDescriptors() []ParamDescriptor {
 	return append([]ParamDescriptor(nil), d.pds...)
 }
 
+// allValues is the context of an absent parameter, {all}; shared by
+// every expansion and never written.
+var allValues = []string{hierarchy.All}
+
+// inlineParams is the environment size up to which Descriptor.Context
+// keeps its per-parameter buffers on the stack.
+const inlineParams = 8
+
 // Context implements Def. 4: the Cartesian product of the contexts of
 // the component descriptors, with {all} for absent parameters, in
 // environment parameter order. The result is deterministic: the product
-// enumerates the last parameter fastest.
+// enumerates the last parameter fastest. The states share one backing
+// array, each capped at its own length, so appending to one never
+// writes into another.
 func (d Descriptor) Context(e *Environment) ([]State, error) {
-	perParam := make([][]string, e.NumParams())
+	n := e.NumParams()
+	var perBuf [inlineParams][]string
+	var idxBuf [inlineParams]int
+	perParam, idx := perBuf[:], idxBuf[:]
+	if n > inlineParams {
+		perParam, idx = make([][]string, n), make([]int, n)
+	}
+	perParam, idx = perParam[:n], idx[:n]
 	for i := range perParam {
-		perParam[i] = []string{hierarchy.All}
+		perParam[i] = allValues
 	}
 	for _, pd := range d.pds {
 		i, ok := e.ParamIndex(pd.Param)
 		if !ok {
 			return nil, fmt.Errorf("ctxmodel: unknown context parameter %q", pd.Param)
 		}
-		vals, err := pd.Context(e)
+		vals, err := pd.values(e.params[i])
 		if err != nil {
 			return nil, err
 		}
@@ -475,26 +529,20 @@ func (d Descriptor) Context(e *Environment) ([]State, error) {
 	for _, vals := range perParam {
 		total *= len(vals)
 	}
-	out := make([]State, 0, total)
-	idx := make([]int, len(perParam))
-	for {
-		s := make(State, len(perParam))
+	out := make([]State, total)
+	backing := make([]string, total*n)
+	for k := range out {
+		s := State(backing[k*n : (k+1)*n : (k+1)*n])
 		for i, vals := range perParam {
 			s[i] = vals[idx[i]]
 		}
-		out = append(out, s)
+		out[k] = s
 		// Advance the mixed-radix counter, last parameter fastest.
-		k := len(idx) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < len(perParam[k]) {
+		for j := n - 1; j >= 0; j-- {
+			if idx[j]++; idx[j] < len(perParam[j]) {
 				break
 			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			break
+			idx[j] = 0
 		}
 	}
 	return out, nil

@@ -92,74 +92,113 @@ func Format(p Preference) string {
 // would make the operator that wins depend on the spacing Format
 // chooses, so the formatted line would re-parse as a different form.
 func ParseParamDescriptor(text string) (ctxmodel.ParamDescriptor, error) {
+	pd, _, err := parseAtom(text, nil)
+	if err != nil {
+		return ctxmodel.ParamDescriptor{}, err
+	}
+	return pd, nil
+}
+
+// parseAtom is ParseParamDescriptor appending the atom's values to vals,
+// which it returns grown: the atom's Values alias that array, capped at
+// their own length. A line's atoms share one values array this way. On
+// error the returned descriptor is incomplete.
+func parseAtom(text string, vals []string) (ctxmodel.ParamDescriptor, []string, error) {
 	text = strings.TrimSpace(text)
-	parseParam := func(raw string) (string, error) {
-		p := strings.TrimSpace(raw)
-		if strings.ContainsFunc(p, unicode.IsSpace) {
-			return "", fmt.Errorf("preference: param %q contains whitespace in %q", p, text)
-		}
-		return p, nil
-	}
-	first := func(op string) int {
-		i := strings.Index(text, op)
-		if i <= 0 {
-			return len(text)
-		}
-		return i
-	}
-	eqAt, inAt, betweenAt := first("="), first(" in "), first(" between ")
-	if eqAt < inAt && eqAt < betweenAt {
-		param, err := parseParam(text[:eqAt])
-		if err != nil {
-			return ctxmodel.ParamDescriptor{}, err
+	eqAt, inAt, betweenAt := opAt(text, "="), opAt(text, " in "), opAt(text, " between ")
+	var pd ctxmodel.ParamDescriptor
+	var err error
+	start := len(vals)
+	switch {
+	case eqAt < inAt && eqAt < betweenAt:
+		pd.Kind = ctxmodel.KindEq
+		if pd.Param, err = atomParam(text[:eqAt], text); err != nil {
+			return pd, vals, err
 		}
 		val := strings.TrimSpace(text[eqAt+1:])
-		if param == "" || val == "" {
-			return ctxmodel.ParamDescriptor{}, fmt.Errorf("preference: malformed eq-descriptor %q", text)
+		if pd.Param == "" || val == "" {
+			return pd, vals, fmt.Errorf("preference: malformed eq-descriptor %q", text)
 		}
-		return ctxmodel.Eq(param, val), nil
-	}
-	if i := strings.Index(text, " in "); i > 0 && inAt < betweenAt {
-		param, err := parseParam(text[:i])
-		if err != nil {
-			return ctxmodel.ParamDescriptor{}, err
+		vals = append(vals, val)
+	case inAt < betweenAt:
+		pd.Kind = ctxmodel.KindIn
+		if pd.Param, err = atomParam(text[:inAt], text); err != nil {
+			return pd, vals, err
 		}
-		rest := strings.TrimSpace(text[i+4:])
+		rest := strings.TrimSpace(text[inAt+len(" in "):])
 		if !strings.HasPrefix(rest, "{") || !strings.HasSuffix(rest, "}") {
-			return ctxmodel.ParamDescriptor{}, fmt.Errorf("preference: malformed in-descriptor %q", text)
+			return pd, vals, fmt.Errorf("preference: malformed in-descriptor %q", text)
 		}
-		var vals []string
-		for _, v := range strings.Split(rest[1:len(rest)-1], ",") {
-			v = strings.TrimSpace(v)
-			if v == "" {
-				return ctxmodel.ParamDescriptor{}, fmt.Errorf("preference: empty value in %q", text)
+		for list, more := rest[1:len(rest)-1], true; more; {
+			var v string
+			v, list, more = strings.Cut(list, ",")
+			if v = strings.TrimSpace(v); v == "" {
+				return pd, vals, fmt.Errorf("preference: empty value in %q", text)
 			}
 			vals = append(vals, v)
 		}
-		if len(vals) == 0 {
-			return ctxmodel.ParamDescriptor{}, fmt.Errorf("preference: empty in-descriptor %q", text)
+	case betweenAt < len(text):
+		pd.Kind = ctxmodel.KindRange
+		if pd.Param, err = atomParam(text[:betweenAt], text); err != nil {
+			return pd, vals, err
 		}
-		return ctxmodel.In(param, vals...), nil
-	}
-	if i := strings.Index(text, " between "); i > 0 {
-		param, err := parseParam(text[:i])
-		if err != nil {
-			return ctxmodel.ParamDescriptor{}, err
+		lo, hi, ok := strings.Cut(text[betweenAt+len(" between "):], ",")
+		if !ok || strings.Contains(hi, ",") {
+			return pd, vals, fmt.Errorf("preference: malformed between-descriptor %q", text)
 		}
-		parts := strings.Split(text[i+9:], ",")
-		if len(parts) != 2 {
-			return ctxmodel.ParamDescriptor{}, fmt.Errorf("preference: malformed between-descriptor %q", text)
-		}
-		lo, hi := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
+		lo, hi = strings.TrimSpace(lo), strings.TrimSpace(hi)
 		if lo == "" || hi == "" {
-			return ctxmodel.ParamDescriptor{}, fmt.Errorf("preference: empty endpoint in %q", text)
+			return pd, vals, fmt.Errorf("preference: empty endpoint in %q", text)
 		}
-		return ctxmodel.Between(param, lo, hi), nil
+		vals = append(vals, lo, hi)
+	default:
+		return pd, vals, fmt.Errorf("preference: cannot parse descriptor atom %q", text)
 	}
-	return ctxmodel.ParamDescriptor{}, fmt.Errorf("preference: cannot parse descriptor atom %q", text)
+	pd.Values = vals[start:len(vals):len(vals)]
+	return pd, vals, nil
 }
 
-// ParseLine reads one preference in the line encoding.
+// opAt is the index of op's first occurrence in text, or len(text) when
+// it is absent or leads the text (an operator needs a param before it).
+func opAt(text, op string) int {
+	if i := strings.Index(text, op); i > 0 {
+		return i
+	}
+	return len(text)
+}
+
+// atomParam trims an atom's param name, rejecting inner whitespace.
+func atomParam(raw, text string) (string, error) {
+	p := strings.TrimSpace(raw)
+	if strings.ContainsFunc(p, unicode.IsSpace) {
+		return "", fmt.Errorf("preference: param %q contains whitespace in %q", p, text)
+	}
+	return p, nil
+}
+
+// parseDescriptor reads a descriptor's ';'-separated atoms into a
+// descriptor. An eq-descriptor costs two allocations: the atoms, and
+// one values array they share, sized for one value per atom; in- and
+// between-atoms grow it.
+func parseDescriptor(text string) (ctxmodel.Descriptor, error) {
+	atoms := strings.Count(text, ";") + 1
+	pds := make([]ctxmodel.ParamDescriptor, 0, atoms)
+	vals := make([]string, 0, atoms)
+	for rest, more := text, true; more; {
+		var atom string
+		atom, rest, more = strings.Cut(rest, ";")
+		pd, grown, err := parseAtom(atom, vals)
+		if err != nil {
+			return ctxmodel.Descriptor{}, err
+		}
+		pds, vals = append(pds, pd), grown
+	}
+	return ctxmodel.DescriptorFrom(pds)
+}
+
+// ParseLine reads one preference in the line encoding. The strings of
+// the result are substrings of line. A descriptor of eq-atoms costs two
+// allocations, and a line without a descriptor none.
 func ParseLine(line string) (Preference, error) {
 	line = strings.TrimSpace(line)
 	if !strings.HasPrefix(line, "[") {
@@ -176,19 +215,12 @@ func ParseLine(line string) (Preference, error) {
 	}
 	rest = strings.TrimSpace(rest[2:])
 
-	var pds []ctxmodel.ParamDescriptor
+	var d ctxmodel.Descriptor
 	if descText != "" {
-		for _, atom := range strings.Split(descText, ";") {
-			pd, err := ParseParamDescriptor(atom)
-			if err != nil {
-				return Preference{}, err
-			}
-			pds = append(pds, pd)
+		var err error
+		if d, err = parseDescriptor(descText); err != nil {
+			return Preference{}, err
 		}
-	}
-	d, err := ctxmodel.NewDescriptor(pds...)
-	if err != nil {
-		return Preference{}, err
 	}
 
 	colon := strings.LastIndex(rest, ":")
@@ -252,7 +284,9 @@ func FormatProfile(pr *Profile) string {
 }
 
 // ParseProfile reads a profile from its line encoding, skipping blank
-// lines and lines starting with '#'.
+// lines and lines starting with '#'. Each preference is checked as it
+// is added (Profile.Add): its descriptor against the environment, and
+// Def. 6 against the preferences of the lines before it.
 func ParseProfile(e *ctxmodel.Environment, text string) (*Profile, error) {
 	pr, err := NewProfile(e)
 	if err != nil {
@@ -274,4 +308,27 @@ func ParseProfile(e *ctxmodel.Environment, text string) (*Profile, error) {
 	// The pair index only serves the adds above; a later Add rebuilds it.
 	pr.seen = nil
 	return pr, nil
+}
+
+// ParseLines reads the preferences of a profile's line encoding as
+// ParseProfile does, with the same "line N: " error prefix, but checks
+// syntax alone: neither the descriptors against an environment nor the
+// preferences against each other. A caller that checks the whole batch
+// itself, as the profile tree's Check does, parses with it.
+func ParseLines(text string) ([]Preference, error) {
+	var ps []Preference
+	for ln, rest, more := 1, text, true; more; ln++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		p, err := ParseLine(line)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", ln, err)
+		}
+		ps = append(ps, p)
+	}
+	return ps, nil
 }

@@ -62,7 +62,7 @@ func New(d ctxmodel.Descriptor, c Clause, score float64) (Preference, error) {
 	if c.Attr == "" {
 		return Preference{}, fmt.Errorf("preference: empty attribute name")
 	}
-	if score < 0 || score > 1 {
+	if !(score >= 0 && score <= 1) { // NaN fails both comparisons
 		return Preference{}, fmt.Errorf("preference: interest score %v outside [0, 1]", score)
 	}
 	return Preference{Descriptor: d, Clause: c, Score: score}, nil

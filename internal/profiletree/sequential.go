@@ -74,7 +74,7 @@ func (sq *Sequential) Bytes() int {
 // conflicts; like Tree.Insert it is atomic and idempotent per
 // (state, clause, score).
 func (sq *Sequential) Insert(p preference.Preference) error {
-	if p.Score < 0 || p.Score > 1 {
+	if !(p.Score >= 0 && p.Score <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("profiletree: interest score %v outside [0, 1]", p.Score)
 	}
 	states, err := p.Descriptor.Context(sq.env)

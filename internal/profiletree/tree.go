@@ -300,13 +300,37 @@ func (t *Tree) Insert(p preference.Preference) error {
 	return t.InsertAll(p)
 }
 
-// checkInsert validates one preference without mutating the tree: score
-// range, descriptor validity, and Def. 6 conflicts against both the
-// stored entries and — when pending is non-nil — entries accumulated by
-// earlier members of the same batch. It returns the descriptor's
-// expansion for applyInsert.
-func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) ([]ctxmodel.State, error) {
-	if p.Score < 0 || p.Score > 1 {
+// Batch is a preference batch that Check validated against a tree,
+// together with each member's descriptor expansion, ready for Apply.
+type Batch struct {
+	tree     *Tree
+	version  uint64 // the tree's Version() when checked
+	prefs    []preference.Preference
+	expanded [][]ctxmodel.State
+}
+
+// pairKey identifies one (state, clause) pair. The clause is compared
+// by value, which is exactly Clause.Equal, so the batch check and the
+// stored-entry check agree on when two clauses are the same.
+type pairKey struct {
+	state  string // the state's Key()
+	clause preference.Clause
+}
+
+// batchIndex maps each (state, clause) pair that the batch members
+// checked so far store to the first member storing it.
+type batchIndex struct {
+	members []preference.Preference
+	first   map[pairKey]int
+}
+
+// checkInsert validates p, member i of a batch, without mutating the
+// tree: score range, descriptor validity, and Def. 6 conflicts against
+// both the stored entries and — when bi is non-nil — the pairs of the
+// earlier members of the batch, to which it then adds p's. It returns
+// the descriptor's expansion for applyInsert.
+func (t *Tree) checkInsert(p preference.Preference, i int, bi *batchIndex) ([]ctxmodel.State, error) {
+	if !(p.Score >= 0 && p.Score <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("profiletree: interest score %v outside [0, 1]", p.Score)
 	}
 	states, err := p.Descriptor.Context(t.env)
@@ -325,73 +349,82 @@ func (t *Tree) checkInsert(p preference.Preference, pending map[string]float64) 
 				}
 			}
 		}
-		if pending != nil {
-			k := s.Key() + "\x1f" + p.Clause.Key()
-			if sc, ok := pending[k]; ok && sc != p.Score {
-				return nil, &preference.ConflictError{
-					New:      p,
-					Existing: preference.Preference{Descriptor: p.Descriptor, Clause: p.Clause, Score: sc},
-					State:    s,
-				}
-			}
-			pending[k] = p.Score
+		if bi == nil {
+			continue
+		}
+		k := pairKey{state: s.Key(), clause: p.Clause}
+		if j, ok := bi.first[k]; !ok {
+			bi.first[k] = i
+		} else if q := bi.members[j]; q.Score != p.Score {
+			return nil, &preference.ConflictError{New: p, Existing: q, State: s}
 		}
 	}
 	return states, nil
 }
 
-// CheckInsert reports the error InsertAll would return for the batch
-// without mutating the tree: each preference is validated against the
-// stored state and against the earlier members of the batch. A nil
-// return guarantees InsertAll on the same batch succeeds (absent
-// intervening mutations). Batch errors are annotated with the failing
-// index ("preference %d: ...").
-func (t *Tree) CheckInsert(ps ...preference.Preference) error {
-	_, err := t.checkBatch(ps)
-	return err
-}
-
-// checkBatch implements CheckInsert, returning each preference's
-// descriptor expansion. A single preference has no earlier batch
-// members, so it skips the pending-entry map.
-func (t *Tree) checkBatch(ps []preference.Preference) ([][]ctxmodel.State, error) {
-	var pending map[string]float64
+// Check validates a batch without mutating the tree: each preference is
+// checked against the stored entries and against the earlier members of
+// the batch. Batch errors are annotated with the failing index
+// ("preference %d: ..."); a single preference keeps its bare error. A
+// nil error returns the checked batch, which Apply stores as long as the
+// tree has not changed in between. ps belongs to the batch until then.
+func (t *Tree) Check(ps ...preference.Preference) (Batch, error) {
+	var bi *batchIndex
 	if len(ps) > 1 {
-		pending = make(map[string]float64)
+		bi = &batchIndex{members: ps, first: make(map[pairKey]int, len(ps))}
 	}
 	expanded := make([][]ctxmodel.State, len(ps))
 	for i, p := range ps {
-		states, err := t.checkInsert(p, pending)
+		states, err := t.checkInsert(p, i, bi)
 		if err != nil {
 			if len(ps) > 1 {
-				return nil, fmt.Errorf("preference %d: %w", i, err)
+				return Batch{}, fmt.Errorf("preference %d: %w", i, err)
 			}
-			return nil, err
+			return Batch{}, err
 		}
 		expanded[i] = states
 	}
-	return expanded, nil
+	return Batch{tree: t, version: t.version, prefs: ps, expanded: expanded}, nil
 }
 
-// InsertAll inserts a batch atomically: the whole batch is validated
-// with CheckInsert first, and only then applied, so a failing batch
-// leaves the tree completely unchanged — callers never observe a
-// half-applied profile. Each descriptor is expanded once, by the check.
+// Apply stores a batch that Check validated, reusing the expansions the
+// check made. It refuses, changing nothing, a batch checked against
+// another tree or before this tree's Version() last moved: the check's
+// verdict holds only for the profile it saw. A batch applies once,
+// since applying it moves the version.
+func (t *Tree) Apply(b Batch) error {
+	if b.tree != t || b.version != t.version {
+		return fmt.Errorf("profiletree: batch checked against version %d, tree is at version %d", b.version, t.version)
+	}
+	for i, p := range b.prefs {
+		t.applyInsert(p, b.expanded[i])
+	}
+	return nil
+}
+
+// CheckInsert reports the error InsertAll would return for the batch
+// without mutating the tree. A nil return guarantees InsertAll on the
+// same batch succeeds (absent intervening mutations).
+func (t *Tree) CheckInsert(ps ...preference.Preference) error {
+	_, err := t.Check(ps...)
+	return err
+}
+
+// InsertAll inserts a batch atomically: Check first, then Apply, so a
+// failing batch leaves the tree completely unchanged — callers never
+// observe a half-applied profile. Each descriptor is expanded once.
 func (t *Tree) InsertAll(ps ...preference.Preference) error {
-	expanded, err := t.checkBatch(ps)
+	b, err := t.Check(ps...)
 	if err != nil {
 		return err
 	}
-	for i, p := range ps {
-		t.applyInsert(p, expanded[i])
-	}
-	return nil
+	return t.Apply(b)
 }
 
 // applyInsert inserts the preference's entry under each of its states
 // (the descriptor's expansion, as checkInsert returned it) with
 // incremental counter maintenance. It must only run after checkInsert
-// passed.
+// passed on the tree as it is.
 func (t *Tree) applyInsert(p preference.Preference, states []ctxmodel.State) {
 	for _, s := range states {
 		nd := t.root

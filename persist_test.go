@@ -3,6 +3,7 @@ package contextpref
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"contextpref/internal/dataset"
@@ -332,5 +333,32 @@ func TestPersistFailureLeavesStateUntouched(t *testing.T) {
 	}
 	if len(d.Users()) != 0 {
 		t.Errorf("failed creation left user behind: %v", d.Users())
+	}
+}
+
+// TestReplayRejectsNaNScore: a NaN interest score is outside [0, 1], so
+// a store holding one — written before the range check caught NaN —
+// fails replay, and the error names the record and its user.
+func TestReplayRejectsNaNScore(t *testing.T) {
+	env, rel := persistFixture(t)
+	recs := []journal.Record{
+		{Op: journal.OpUser, User: "ana"},
+		{Op: journal.OpAdd, User: "ana", Line: `[time = t01] => type = "museum" : 0.5`},
+		{Op: journal.OpAdd, User: "ana", Line: `[time = morning] => type = "museum" : NaN`},
+	}
+	d, err := NewDirectory(env, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.ReplayShard(0, recs)
+	if err == nil || !strings.Contains(err.Error(), `record 2 (user "ana")`) || !strings.Contains(err.Error(), "NaN outside [0, 1]") {
+		t.Errorf("ReplayShard = %v, want an error naming record 2 of user ana and its NaN score", err)
+	}
+	sys, err := NewSystem(env, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Replay(recs); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("System.Replay = %v, want an error naming record 2", err)
 	}
 }

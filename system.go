@@ -198,7 +198,8 @@ func (s *System) AddPreferences(ps ...Preference) error {
 // AddPreferencesCtx is AddPreferences carrying the request context for
 // span provenance: the batch is recorded as a system.add_preferences
 // span (count attribute) with the journal append — typically the
-// dominant cost, being an fsync — as a child span.
+// dominant cost, being an fsync — as a child span. The profile tree's
+// Check is the batch's one validation; Apply stores what it checked.
 func (s *System) AddPreferencesCtx(ctx context.Context, ps ...Preference) error {
 	if len(ps) == 0 {
 		return nil
@@ -210,7 +211,8 @@ func (s *System) AddPreferencesCtx(ctx context.Context, ps ...Preference) error 
 		sp.Fail(err)
 		return err
 	}
-	if err := s.tree.CheckInsert(ps...); err != nil {
+	batch, err := s.tree.Check(ps...)
+	if err != nil {
 		sp.Fail(err)
 		return err
 	}
@@ -221,8 +223,9 @@ func (s *System) AddPreferencesCtx(ctx context.Context, ps ...Preference) error 
 			return err
 		}
 	}
-	if err := s.tree.InsertAll(ps...); err != nil {
-		// Unreachable after CheckInsert; kept as a guard.
+	// Refused only if the tree changed since the check, which the
+	// caller's exclusive access rules out.
+	if err := s.tree.Apply(batch); err != nil {
 		sp.Fail(err)
 		return err
 	}
@@ -245,12 +248,25 @@ func (s *System) LoadProfile(text string) error {
 
 // LoadProfileCtx is LoadProfile carrying the request context for span
 // provenance; the insertion rides on the system.add_preferences span.
+//
+// Each preference is parsed once and checked once, by the batch check
+// of AddPreferencesCtx, which sees every error preference.ParseProfile
+// would: bad syntax, invalid descriptors, and Def. 6 conflicts between
+// lines. The text's own errors take precedence over the health gate and
+// over conflicts with the stored profile, and are reported in
+// ParseProfile's words, so on failure the text is parsed again with
+// ParseProfile, and its error, if it has one, is the answer.
 func (s *System) LoadProfileCtx(ctx context.Context, text string) error {
-	pr, err := preference.ParseProfile(s.env, text)
-	if err != nil {
-		return err
+	ps, err := preference.ParseLines(text)
+	if err == nil {
+		if err = s.AddPreferencesCtx(ctx, ps...); err == nil {
+			return nil
+		}
 	}
-	return s.AddPreferencesCtx(ctx, pr.Preferences()...)
+	if _, perr := preference.ParseProfile(s.env, text); perr != nil {
+		return perr
+	}
+	return err
 }
 
 // NumPreferences returns how many preferences the system stores.
