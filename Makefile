@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-json bench-smoke experiments fuzz fuzz-smoke verify fmt vet lint lint-json clean
+.PHONY: all build test race cover bench bench-json bench-smoke experiments examples fuzz fuzz-smoke verify fmt vet lint lint-json clean
 
 all: build test
 
@@ -45,6 +45,12 @@ bench-smoke:
 # Regenerates every table and figure of the paper's evaluation.
 experiments:
 	$(GO) run ./cmd/experiments -run all
+
+# Runs every example program and fails on the first non-zero exit:
+# `go build ./...` only compiles them, so an example that breaks at run
+# time would otherwise go unnoticed.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # Short fuzzing sessions over the text parsers and journal recovery.
 fuzz:

@@ -28,20 +28,33 @@ func benchServer(b *testing.B, opts ...httpapi.ServerOption) *httpapi.Server {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		b.Fatal(err)
-	}
 	profile := ""
 	for r := 1; r <= 20; r++ {
 		profile += fmt.Sprintf("[location = ath_r%02d] => type = museum : 0.5\n", r)
 	}
-	if err := sys.LoadProfile(profile); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := httpapi.New(sys, opts...)
+	return defaultUserServer(b, env, rel, nil, profile, opts...)
+}
+
+// defaultUserServer serves a one-shard directory whose user "default"
+// holds profile, so requests without ?user reach it; sysOpts configure
+// every per-user System.
+func defaultUserServer(tb testing.TB, env *contextpref.Environment, rel *contextpref.Relation,
+	sysOpts []contextpref.Option, profile string, opts ...httpapi.ServerOption) *httpapi.Server {
+	tb.Helper()
+	dir, err := contextpref.NewDirectory(env, rel, contextpref.WithSystemOptions(sysOpts...))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	user, err := dir.User("default")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := user.LoadProfile(profile); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := httpapi.NewMultiUser(dir, opts...)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return srv
 }

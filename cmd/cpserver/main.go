@@ -764,7 +764,7 @@ func build(cfg config) (*app, error) {
 				var d net.Dialer
 				return d.DialContext(ctx, "tcp", cfg.follow)
 			},
-			ApplySegment: dir.ApplyShardReplicated,
+			ApplySegment: dir.ReplayShard,
 			ResetSegment: dir.ResetShardReplicated,
 			SegmentFault: func(seg int, err error) {
 				a.healths[seg].MarkDegraded(fmt.Errorf("replication stream stopped: %w", err))

@@ -11,27 +11,26 @@ import (
 	"contextpref/internal/tracing"
 )
 
-// SafeSystem wraps a System for concurrent use: reads (queries,
-// resolution, stats) take a shared lock and writes (preference
-// insertion) an exclusive one. Systems built with WithQueryCache take
-// the exclusive lock on queries too, because serving a query mutates
-// the cache.
+// SafeSystem is one Directory user's System (see Directory.User),
+// wrapped for concurrent use: reads (queries, resolution, stats) take
+// a shared lock and writes (preference insertion) an exclusive one.
+// Systems built with WithQueryCache take the exclusive lock on queries
+// too, because serving a query mutates the cache.
 //
-// Directory-managed systems can additionally be "parked" to bound
-// resident memory (see WithMaxResidentUsers): the materialized System
-// — profile tree, query cache, engines — is dropped and the profile is
-// kept as its compact journal-record form in the handle itself. The
-// handle's identity never changes; the next access rebuilds the System
-// transparently under the write lock. Parking is lossless: the records
-// are an in-memory archive, never a disk reload.
+// A handle can be "parked" to bound resident memory (see
+// WithMaxResidentUsers): the materialized System — profile tree, query
+// cache, engines — is dropped and the profile is kept as its compact
+// journal-record form in the handle itself. The handle's identity never
+// changes; the next access rebuilds the System transparently under the
+// write lock. Parking is lossless: the records are an in-memory
+// archive, never a disk reload.
 type SafeSystem struct {
 	mu      sync.RWMutex
 	sys     *System // nil while parked
 	caching bool
 
-	// Parking support; zero for standalone Synchronized systems, which
-	// never park. shard is atomic because the LRU touch on every access
-	// reads it without the lock, while removal clears it under the lock.
+	// shard is atomic because the LRU touch on every access reads it
+	// without the lock, while removal clears it under the lock.
 	shard atomic.Pointer[dirShard] // owning shard; nil after the user is removed
 	user  string                   // directory key
 	// parked holds the profile as add/remove records while sys is nil.
@@ -49,12 +48,6 @@ type SafeSystem struct {
 	parkHealth  *Health
 	// lastTouch is the shard-LRU stamp of the most recent access.
 	lastTouch atomic.Int64
-}
-
-// Synchronized wraps the system. The wrapped System must not be used
-// directly afterwards.
-func Synchronized(sys *System) *SafeSystem {
-	return &SafeSystem{sys: sys, caching: sys.cache != nil}
 }
 
 // touch stamps the handle for the owning shard's LRU clock.
@@ -182,7 +175,7 @@ func (s *SafeSystem) residentHint() bool {
 // the archive it was rebuilt from when the tree has not changed since;
 // otherwise it is exported to its normalized record form. It refuses
 // without blocking if the handle is in use (TryLock fails), already
-// parked, not directory-managed, or its export fails; it reports
+// parked, removed from its directory, or its export fails; it reports
 // whether it parked. Counter and resident-set updates are the
 // caller's.
 func (s *SafeSystem) tryPark() bool {
@@ -260,12 +253,7 @@ func (s *SafeSystem) appendParked(r journal.Record) error {
 
 // AddPreference inserts one preference under the write lock.
 func (s *SafeSystem) AddPreference(p Preference) error {
-	unlock, err := s.wlock()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	return s.sys.AddPreference(p)
+	return s.AddPreferencesCtx(context.Background(), p)
 }
 
 // AddPreferences inserts a batch under the write lock.
@@ -349,12 +337,7 @@ func (s *SafeSystem) QueryCtx(ctx context.Context, q Query, current State) (*Res
 
 // Resolve performs context resolution under the shared lock.
 func (s *SafeSystem) Resolve(st State) (Candidate, bool, error) {
-	unlock, err := s.rlock()
-	if err != nil {
-		return Candidate{}, false, err
-	}
-	defer unlock()
-	return s.sys.Resolve(st)
+	return s.ResolveCtx(context.Background(), st)
 }
 
 // ResolveCtx performs cancellable context resolution under the shared
@@ -375,12 +358,7 @@ func (s *SafeSystem) ResolveCtx(ctx context.Context, st State) (Candidate, bool,
 
 // ResolveAll lists covering states under the shared lock.
 func (s *SafeSystem) ResolveAll(st State) ([]Candidate, error) {
-	unlock, err := s.rlock()
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	return s.sys.ResolveAll(st)
+	return s.ResolveAllCtx(context.Background(), st)
 }
 
 // ResolveAllCtx lists covering states with cooperative cancellation

@@ -13,12 +13,7 @@ func TestSafeSystemConcurrentUse(t *testing.T) {
 			if caching {
 				opts = append(opts, WithQueryCache(16))
 			}
-			env, _ := ReferenceEnvironment()
-			inner, err := NewSystem(env, buildPOIs(t), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys := Synchronized(inner)
+			sys := newSafeSystem(t, opts...)
 			if err := sys.AddPreferences(paperPreferences()...); err != nil {
 				t.Fatal(err)
 			}

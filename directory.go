@@ -104,13 +104,6 @@ func (d *Directory) User(name string) (*SafeSystem, error) {
 // seeding) is recorded as a directory.create_user span; the fast path
 // for an existing user adds no span.
 func (d *Directory) UserCtx(ctx context.Context, name string) (*SafeSystem, error) {
-	return d.user(ctx, name, true)
-}
-
-// user implements User; seed false skips default-profile seeding and
-// creation journaling, which is what journal replay needs (the seeds
-// and the creation were journaled when the user first appeared).
-func (d *Directory) user(ctx context.Context, name string, seed bool) (*SafeSystem, error) {
 	if name == "" {
 		return nil, fmt.Errorf("contextpref: empty user name")
 	}
@@ -135,47 +128,42 @@ func (d *Directory) user(ctx context.Context, name string, seed bool) (*SafeSyst
 			return nil, err
 		}
 		inner.SetHealth(sh.health)
-		if seed {
-			// Creating a user is a mutation: fail fast while degraded so no
-			// half-created user lingers in memory without a journal record.
-			if err := sh.health.Gate(); err != nil {
-				sp.Fail(err)
-				return nil, err
+		// Creating a user is a mutation: fail fast while degraded so no
+		// half-created user lingers in memory without a journal record.
+		if err := sh.health.Gate(); err != nil {
+			sp.Fail(err)
+			return nil, err
+		}
+		// Check the seed before anything is journaled: a seed that
+		// cannot apply must leave no creation record behind, or
+		// replay would resurrect a user that every access refuses.
+		var prefs []Preference
+		if d.defaults != nil {
+			if prefs, err = d.defaults(name); err == nil {
+				err = inner.tree.CheckInsert(prefs...)
 			}
-			// Check the seed before anything is journaled: a seed that
-			// cannot apply must leave no creation record behind, or
-			// replay would resurrect a user that every access refuses.
-			var prefs []Preference
-			if d.defaults != nil {
-				if prefs, err = d.defaults(name); err == nil {
-					err = inner.tree.CheckInsert(prefs...)
-				}
-				if err != nil {
-					sp.Fail(err)
-					return nil, fmt.Errorf("contextpref: seeding user %q: %w", name, err)
-				}
-			}
-			// Journal the creation before the seeds so replay re-creates
-			// the user first; attach the persister before seeding so the
-			// seed preferences are journaled too.
-			if sh.persist != nil {
-				if err := sh.persist.PersistCreateUser(ctx, name); err != nil {
-					err = sh.health.fail(&PersistError{Op: "create user", Err: err})
-					sp.Fail(err)
-					return nil, err
-				}
-				inner.SetPersister(sh.persist, name)
-			}
-			if err := inner.AddPreferencesCtx(ctx, prefs...); err != nil {
+			if err != nil {
 				sp.Fail(err)
 				return nil, fmt.Errorf("contextpref: seeding user %q: %w", name, err)
 			}
-		} else if sh.persist != nil {
+		}
+		// Journal the creation before the seeds so replay re-creates
+		// the user first; attach the persister before seeding so the
+		// seed preferences are journaled too.
+		if sh.persist != nil {
+			if err := sh.persist.PersistCreateUser(ctx, name); err != nil {
+				err = sh.health.fail(&PersistError{Op: "create user", Err: err})
+				sp.Fail(err)
+				return nil, err
+			}
 			inner.SetPersister(sh.persist, name)
 		}
-		sys := Synchronized(inner)
+		if err := inner.AddPreferencesCtx(ctx, prefs...); err != nil {
+			sp.Fail(err)
+			return nil, fmt.Errorf("contextpref: seeding user %q: %w", name, err)
+		}
+		sys := &SafeSystem{sys: inner, caching: d.cachedOpts, user: name}
 		sys.shard.Store(sh)
-		sys.user = name
 		sys.lastTouch.Store(sh.clock.Add(1))
 		sh.systems[name] = sys
 		sh.residents[sys] = struct{}{}
@@ -201,14 +189,6 @@ func (d *Directory) Lookup(name string) (*SafeSystem, bool) {
 	defer sh.mu.RUnlock()
 	sys, ok := sh.systems[name]
 	return sys, ok
-}
-
-// Remove deletes a user's profile; it reports whether the user existed.
-// It is RemoveUser discarding the persistence error, kept for callers
-// that do not journal.
-func (d *Directory) Remove(name string) bool {
-	ok, _ := d.RemoveUser(name)
-	return ok
 }
 
 // RemoveUser deletes a user's profile and journals the drop. The

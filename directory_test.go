@@ -56,8 +56,11 @@ func TestDirectoryBasics(t *testing.T) {
 	if _, ok := d.Lookup("carol"); ok {
 		t.Error("Lookup(carol) should be absent")
 	}
-	if !d.Remove("bob") || d.Remove("bob") {
-		t.Error("Remove semantics wrong")
+	if ok, err := d.RemoveUser("bob"); !ok || err != nil {
+		t.Errorf("RemoveUser(bob) = %v, %v, want true, nil", ok, err)
+	}
+	if ok, err := d.RemoveUser("bob"); ok || err != nil {
+		t.Errorf("second RemoveUser(bob) = %v, %v, want false, nil", ok, err)
 	}
 	if got := d.Users(); !reflect.DeepEqual(got, []string{"alice"}) {
 		t.Errorf("Users after remove = %v", got)

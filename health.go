@@ -202,8 +202,7 @@ func SetRoleAll(hs []*Health, r Role) {
 // call it first so a rejected write fails fast without touching the
 // journal. Degradation is reported ahead of role: a degraded follower
 // is first of all degraded. The replication apply path does not come
-// through here — followers graft leader batches via
-// ApplyShardReplicated.
+// through here — followers graft leader batches via ReplayShard.
 func (h *Health) Gate() error {
 	if h == nil {
 		return nil
@@ -342,10 +341,10 @@ func (h *Health) Run(ctx context.Context, interval time.Duration, probe func() e
 // detaches (mutations then surface bare *PersistError again).
 func (s *System) SetHealth(h *Health) { s.health = h }
 
-// SetHealth attaches a health tracker under the write lock; on a
-// parked handle it is kept aside and re-attached when the system
-// materializes.
-func (s *SafeSystem) SetHealth(h *Health) {
+// setHealth attaches the owning shard's health tracker under the write
+// lock; on a parked handle it is kept aside and re-attached when the
+// system materializes.
+func (s *SafeSystem) setHealth(h *Health) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sys == nil {

@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -133,38 +131,12 @@ func (rl *rateLimiter) sweepLocked(now time.Time) {
 }
 
 // rateKey attributes a request to a rate-limit bucket: the X-API-Key
-// header when present, else the ?user query parameter, else "default".
-// The query string is scanned directly instead of through url.Values —
-// this runs on every request, before any admission decision, and must
-// not allocate a parsed-query map just to read one key.
+// header when present, else the user the request is served as.
 func rateKey(r *http.Request) string {
 	if k := r.Header.Get("X-API-Key"); k != "" {
 		return k
 	}
-	if u := userParam(r.URL.RawQuery); u != "" {
-		return u
-	}
-	return "default"
-}
-
-// userParam extracts the first "user" value from a raw query string,
-// unescaping only when the value actually contains escapes.
-func userParam(raw string) string {
-	for raw != "" {
-		var kv string
-		kv, raw, _ = strings.Cut(raw, "&")
-		v, ok := strings.CutPrefix(kv, "user=")
-		if !ok {
-			continue
-		}
-		if strings.ContainsAny(v, "%+") {
-			if u, err := url.QueryUnescape(v); err == nil {
-				return u
-			}
-		}
-		return v
-	}
-	return ""
+	return userOf(r)
 }
 
 // retryAfterSeconds renders a duration as a whole-second Retry-After

@@ -7,6 +7,7 @@ package httpapi
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -79,6 +80,60 @@ func TestRateKey(t *testing.T) {
 	req.Header.Set("X-API-Key", "secret")
 	if k := rateKey(req); k != "secret" {
 		t.Errorf("header key = %q, want secret (header wins over ?user)", k)
+	}
+
+	// Malformed and escaped queries: the key is the user that
+	// GET /preferences serves. Every candidate reading holds its own
+	// profile, so the exported text names the user served.
+	env, rel := newFixture(t)
+	srv := defaultUserServer(t, env, rel, nil, "[] => type = museum : 0.1")
+	for i, name := range []string{"bob", "x1", "%zz1", "a;1"} {
+		u, err := srv.Directory().User(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.LoadProfile(fmt.Sprintf("[] => type = museum : 0.%d", i+2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byProfile := map[string]string{}
+	for _, name := range srv.Directory().Users() {
+		u, _ := srv.Directory().Lookup(name)
+		text, err := u.ExportProfile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byProfile[text] = name
+	}
+	for _, query := range []string{"user=%zz1", "user&user=x1", "user=a;1", "%75ser=bob"} {
+		req := httptest.NewRequest("GET", "/preferences?"+query, nil)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		served, ok := byProfile[rec.Body.String()]
+		if rec.Code != http.StatusOK || !ok {
+			t.Fatalf("?%s: status %d, body %q matches no user's profile", query, rec.Code, rec.Body.String())
+		}
+		if k := rateKey(req); k != served {
+			t.Errorf("?%s: rate key %q, but served as user %q", query, k, served)
+		}
+	}
+
+	// End to end: once "default" is limited, a malformed ?user that is
+	// served as "default" is limited too.
+	limited := defaultUserServer(t, env, rel, nil, "", WithRateLimit(0.001, 1))
+	for _, tc := range []struct {
+		target string
+		want   int
+	}{
+		{"/preferences", http.StatusOK},
+		{"/preferences", http.StatusTooManyRequests},
+		{"/preferences?user=%zz1", http.StatusTooManyRequests},
+	} {
+		rec := httptest.NewRecorder()
+		limited.ServeHTTP(rec, httptest.NewRequest("GET", tc.target, nil))
+		if rec.Code != tc.want {
+			t.Errorf("GET %s = %d, want %d", tc.target, rec.Code, tc.want)
+		}
 	}
 }
 

@@ -178,14 +178,7 @@ func TestMaxBodyBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys, WithMaxBodyBytes(64))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, "", WithMaxBodyBytes(64))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -33,11 +33,14 @@ func TestScanErrorStaysClassifiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := contextpref.NewSystem(env, rel)
+	dir, err := contextpref.NewDirectory(env, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	safe := contextpref.Synchronized(sys)
+	safe, err := dir.User("u")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := safe.LoadProfile("[] => type = museum : 0.6"); err != nil {
 		t.Fatal(err)
 	}

@@ -32,14 +32,7 @@ func newFixture(t *testing.T) (*contextpref.Environment, *contextpref.Relation) 
 
 func TestHealthEndpoints(t *testing.T) {
 	env, rel := newFixture(t)
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, "")
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -133,14 +126,7 @@ func TestRequestID(t *testing.T) {
 // dropped connection, and the server keeps serving.
 func TestPanicRecovery(t *testing.T) {
 	env, rel := newFixture(t)
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, "")
 	srv.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
@@ -165,14 +151,7 @@ func TestPanicRecovery(t *testing.T) {
 // "overloaded" while health probes still answer.
 func TestMaxInflight(t *testing.T) {
 	env, rel := newFixture(t)
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys, WithMaxInflight(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, "", WithMaxInflight(1))
 	release := make(chan struct{})
 	entered := make(chan struct{})
 	srv.mux.HandleFunc("GET /slow", func(w http.ResponseWriter, r *http.Request) {
@@ -269,7 +248,9 @@ func TestMultiUserJournalStress(t *testing.T) {
 				req, _ = http.NewRequest("POST", ts.URL+"/query?user="+user, strings.NewReader(body))
 				do(req)
 				if i%10 == 9 {
-					dir.Remove(fmt.Sprintf("user%d", (w+2)%4))
+					if _, err := dir.RemoveUser(fmt.Sprintf("user%d", (w+2)%4)); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}()

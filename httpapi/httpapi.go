@@ -1,11 +1,15 @@
-// Package httpapi exposes a contextpref.System over HTTP with a small
-// JSON API, so the context-aware preference database can run as a
-// service. All handlers are safe for concurrent use: the server wraps
-// the system in a contextpref.SafeSystem.
+// Package httpapi serves a contextpref.Directory of per-user profiles
+// over HTTP with a small JSON API, so the context-aware preference
+// database can run as a service. Every endpoint except /env, /users
+// and the probes acts for the user named by the ?user query parameter,
+// "default" when it is absent or empty; an unknown user is created on
+// first access. All handlers are safe for concurrent use: each user is
+// a contextpref.SafeSystem.
 //
 // Endpoints:
 //
 //	GET  /env                  the context environment (parameters, levels, domains)
+//	GET  /users                the known user names, sorted
 //	GET  /stats                profile-tree storage statistics
 //	GET  /preferences          the stored profile in the line encoding (text/plain)
 //	POST /preferences          add preferences (text/plain body, one per line)
@@ -110,11 +114,10 @@ import (
 	"contextpref/internal/tracing"
 )
 
-// Server handles the API over one system or, in multi-user mode, a
-// directory of per-user systems selected by the ?user query parameter.
+// Server handles the API over a directory of per-user systems selected
+// by the ?user query parameter.
 type Server struct {
-	single      *contextpref.SafeSystem // single-user mode
-	directory   *contextpref.Directory  // multi-user mode
+	directory   *contextpref.Directory
 	environment *contextpref.Environment
 	mux         *http.ServeMux
 
@@ -198,8 +201,7 @@ func WithShardHealth(hs []*contextpref.Health) ServerOption {
 // the stale ones individually. Mutations are rejected by the store's
 // role gate with 503 "read_only" regardless of lag. max <= 0 disables
 // the gating (reads always serve) but keeps the /readyz reporting.
-// Requires a server built by NewMultiUser; combine with WithShardHealth
-// for per-shard degraded states.
+// Combine with WithShardHealth for per-shard degraded states.
 func WithShardReplica(staleness func(shard int) time.Duration, max time.Duration) ServerOption {
 	return func(s *Server) {
 		s.shardStaleness = staleness
@@ -215,21 +217,6 @@ func WithMaxBodyBytes(n int64) ServerOption {
 			s.maxBody = n
 		}
 	}
-}
-
-// New wraps one system (which must not be mutated elsewhere afterwards)
-// and builds the routes.
-func New(sys *contextpref.System, opts ...ServerOption) (*Server, error) {
-	if sys == nil {
-		return nil, fmt.Errorf("httpapi: nil system")
-	}
-	s := &Server{
-		single:      contextpref.Synchronized(sys),
-		environment: sys.Env(),
-		values:      renderRelation(sys.Relation()),
-	}
-	s.init(opts)
-	return s, nil
 }
 
 // NewMultiUser serves a directory of per-user profiles: every endpoint
@@ -261,7 +248,7 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether the server is shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Directory returns the directory in multi-user mode (nil otherwise).
+// Directory returns the served directory.
 func (s *Server) Directory() *contextpref.Directory { return s.directory }
 
 func (s *Server) routes() {
@@ -275,23 +262,25 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /resolve", s.handleResolve)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if s.directory != nil {
-		s.mux.HandleFunc("GET /users", s.handleUsers)
+	s.mux.HandleFunc("GET /users", s.handleUsers)
+}
+
+// userOf names the user a request is served as: its ?user parameter,
+// or "default" when that is absent or empty. Routing, the staleness
+// gate and the rate limiter all ask here, so a malformed query cannot
+// be served as one user and charged to another.
+func userOf(r *http.Request) string {
+	if user := r.URL.Query().Get("user"); user != "" {
+		return user
 	}
+	return "default"
 }
 
 // system picks the target system for a request. First contact with an
 // unknown user creates it under the request's context, so the creation
 // (and its journal write) shows up in the request's trace.
 func (s *Server) system(r *http.Request) (*contextpref.SafeSystem, error) {
-	if s.single != nil {
-		return s.single, nil
-	}
-	user := r.URL.Query().Get("user")
-	if user == "" {
-		user = "default"
-	}
-	return s.directory.UserCtx(r.Context(), user)
+	return s.directory.UserCtx(r.Context(), userOf(r))
 }
 
 func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {
@@ -384,7 +373,7 @@ func (s *Server) writeShardReadyz(w http.ResponseWriter) {
 // Always in-bound on a leader (no staleness source) or when no bound is
 // configured.
 func (s *Server) overStaleFor(r *http.Request) (lag time.Duration, shard int, over bool) {
-	if s.shardStaleness == nil || s.maxStaleness <= 0 || s.directory == nil {
+	if s.shardStaleness == nil || s.maxStaleness <= 0 {
 		return 0, 0, false
 	}
 	if r.URL.Path == "/users" {
@@ -395,11 +384,7 @@ func (s *Server) overStaleFor(r *http.Request) (lag time.Duration, shard int, ov
 		}
 		return lag, shard, lag > s.maxStaleness
 	}
-	user := r.URL.Query().Get("user")
-	if user == "" {
-		user = "default"
-	}
-	shard = s.directory.ShardOf(user)
+	shard = s.directory.ShardOf(userOf(r))
 	lag = s.shardStaleness(shard)
 	return lag, shard, lag > s.maxStaleness
 }

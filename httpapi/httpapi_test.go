@@ -21,17 +21,34 @@ func newServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := contextpref.NewSystem(env, rel, contextpref.WithQueryCache(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, []contextpref.Option{contextpref.WithQueryCache(32)}, "")
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// defaultUserServer serves a one-shard directory whose user "default"
+// holds profile, so requests without ?user reach it; sysOpts configure
+// every per-user System.
+func defaultUserServer(t testing.TB, env *contextpref.Environment, rel *contextpref.Relation,
+	sysOpts []contextpref.Option, profile string, opts ...ServerOption) *Server {
+	t.Helper()
+	dir, err := contextpref.NewDirectory(env, rel, contextpref.WithSystemOptions(sysOpts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := dir.User("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := user.LoadProfile(profile); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewMultiUser(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 func post(t *testing.T, url, contentType, body string) (*http.Response, string) {
@@ -73,8 +90,8 @@ func get(t *testing.T, url string) (*http.Response, string) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil); err == nil {
-		t.Error("nil system should fail")
+	if _, err := NewMultiUser(nil); err == nil {
+		t.Error("nil directory should fail")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"contextpref"
 	"contextpref/internal/telemetry"
 )
 
@@ -21,20 +20,13 @@ import (
 func telemetryServer(t *testing.T, opts ...ServerOption) (*httptest.Server, *telemetry.Registry, *bytes.Buffer) {
 	t.Helper()
 	env, rel := newFixture(t)
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
 	var logs bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logs, nil))
-	srv, err := New(sys, append([]ServerOption{
+	srv := defaultUserServer(t, env, rel, nil, "", append([]ServerOption{
 		WithTelemetry(reg),
 		WithLogger(logger),
 	}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
@@ -187,15 +179,8 @@ func tsHandler(t *testing.T, ts *httptest.Server) *Server {
 // nothing is registered anywhere — the no-op path.
 func TestTelemetryDisabled(t *testing.T) {
 	env, rel := newFixture(t)
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var logs bytes.Buffer
-	srv, err := New(sys, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, "", WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
 	srv.mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})

@@ -22,20 +22,16 @@ import (
 	"contextpref/internal/telemetry"
 )
 
-// overloadSystem builds a single-user system over the real environment
-// with a profile wide enough that context resolution scans well past
-// one cancellation-check window (one preference per location region).
-func overloadSystem(t *testing.T, opts ...contextpref.Option) *contextpref.System {
+// overloadServer serves user "default" over the real environment with
+// a profile wide enough that context resolution scans well past one
+// cancellation-check window (one preference per location region).
+func overloadServer(t *testing.T, sysOpts []contextpref.Option, opts ...ServerOption) *Server {
 	t.Helper()
 	env, err := dataset.RealEnvironment()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel, err := dataset.POIs(env, 60, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := contextpref.NewSystem(env, rel, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +42,15 @@ func overloadSystem(t *testing.T, opts ...contextpref.Option) *contextpref.Syste
 	for r := 1; r <= 40; r++ {
 		fmt.Fprintf(&profile, "[location = the_r%02d] => type = park : 0.5\n", r)
 	}
-	if err := sys.LoadProfile(profile.String()); err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	return defaultUserServer(t, env, rel, sysOpts, profile.String(), opts...)
 }
 
 func TestRequestTimeoutDeadline(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv, err := New(overloadSystem(t),
+	srv := overloadServer(t, nil,
 		WithRequestTimeout(30*time.Millisecond),
 		WithChaos(ChaosConfig{Latency: 300 * time.Millisecond, Seed: 1}),
 		WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/resolve?state=friends,t03,ath_r01", nil))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -85,10 +75,7 @@ func TestRequestTimeoutDeadline(t *testing.T) {
 
 func TestRateLimitPerKey(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv, err := New(overloadSystem(t), WithRateLimit(1, 1), WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := overloadServer(t, nil, WithRateLimit(1, 1), WithTelemetry(reg))
 	do := func(key string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("GET", "/env", nil)
 		req.Header.Set("X-API-Key", key)
@@ -126,14 +113,11 @@ func TestRateLimitPerKey(t *testing.T) {
 func TestOverloadAllStructuredErrors(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	reg := telemetry.NewRegistry()
-	srv, err := New(overloadSystem(t),
+	srv := overloadServer(t, nil,
 		WithMaxInflight(2),
 		WithRequestTimeout(40*time.Millisecond),
 		WithChaos(ChaosConfig{Latency: 200 * time.Millisecond, Jitter: 50 * time.Millisecond, Seed: 42}),
 		WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv)
 	client := &http.Client{Timeout: 30 * time.Second}
 
@@ -207,10 +191,7 @@ func TestOverloadAllStructuredErrors(t *testing.T) {
 // and the response is the structured 499.
 func TestCanceledClientStopsScan(t *testing.T) {
 	sysReg := contextpref.NewTelemetryRegistry()
-	srv, err := New(overloadSystem(t, contextpref.WithTelemetry(sysReg)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := overloadServer(t, []contextpref.Option{contextpref.WithTelemetry(sysReg)})
 	cells := sysReg.Counter("cp_resolve_cells_total", "")
 
 	rec := httptest.NewRecorder()

@@ -78,14 +78,7 @@ func TestQueryEncoderMatchesJSONEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, "")
 	late, err := rel.Insert(contextpref.String("added <after> the build"), contextpref.Int(-1), contextpref.Float(1e300), contextpref.Bool(false))
 	if err != nil {
 		t.Fatal(err)
@@ -143,18 +136,16 @@ func TestQueryEndpointBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	profile := "[accompanying_people = friends] => type = brewery : 0.9\n" +
+		"[time = t03] => type = museum : 0.6\n"
 	sys, err := contextpref.NewSystem(env, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.LoadProfile("[accompanying_people = friends] => type = brewery : 0.9\n" +
-		"[time = t03] => type = museum : 0.6\n"); err != nil {
+	if err := sys.LoadProfile(profile); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, profile)
 	for _, req := range []string{
 		`{"query": "top 5", "current": ["friends", "t03", "ath_r01"]}`,
 		`{"query": "", "current": ["alone", "t01", "ath_r02"]}`,

@@ -23,7 +23,8 @@ import (
 	"contextpref/internal/tracing"
 )
 
-// tracedServer builds a single-user server with the given tracer.
+// tracedServer builds a server for user "default" with the given
+// tracer.
 func tracedServer(t *testing.T, tracer *tracing.Tracer) *httptest.Server {
 	t.Helper()
 	env, err := dataset.RealEnvironment()
@@ -34,14 +35,7 @@ func tracedServer(t *testing.T, tracer *tracing.Tracer) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := contextpref.NewSystem(env, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys, WithTracer(tracer))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := defaultUserServer(t, env, rel, nil, "", WithTracer(tracer))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts

@@ -44,10 +44,6 @@ func buildLiveRegistry(t *testing.T) *contextpref.TelemetryRegistry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := contextpref.NewSystem(env, rel, contextpref.WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The directory is sharded with a tiny residency bound, journaled,
 	// and compacted once, so every cp_shard_* family (users, resident,
 	// evictions, loads, degraded, compactions) exposes real children.
@@ -117,9 +113,7 @@ func buildLiveRegistry(t *testing.T) *contextpref.TelemetryRegistry {
 		t.Fatal("NewTraceMetrics returned nil for a live registry")
 	}
 	contextpref.RegisterBuildInfo(reg)
-	if _, err := httpapi.New(sys, httpapi.WithTelemetry(reg)); err != nil {
-		t.Fatal(err)
-	}
+	defaultUserServer(t, env, rel, []contextpref.Option{contextpref.WithTelemetry(reg)}, "", httpapi.WithTelemetry(reg))
 	return reg
 }
 

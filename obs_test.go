@@ -101,7 +101,9 @@ func TestDirectoryTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dir.Remove("bob")
+	if _, err := dir.RemoveUser("bob"); err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -443,7 +443,7 @@ func TestResidentSetConsistency(t *testing.T) {
 	}
 	// A replayed drop (the replication apply path) of a resident user.
 	victim := pick(0, true)
-	if err := d.ApplyShardReplicated(0, []journal.Record{{Op: journal.OpDrop, User: victim}}); err != nil {
+	if err := d.ReplayShard(0, []journal.Record{{Op: journal.OpDrop, User: victim}}); err != nil {
 		t.Fatal(err)
 	}
 	checkResidentSet(t, d, "replayed drop")

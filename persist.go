@@ -114,20 +114,18 @@ func (s *System) SetPersister(p Persister, user string) {
 	s.persistUser = user
 }
 
-// SetPersister attaches a persistence hook under the write lock; on a
-// parked handle it is kept aside and re-attached when the system
+// setPersister attaches the owning shard's persistence hook under the
+// write lock, persisting under the handle's user name; on a parked
+// handle it is kept aside and re-attached when the system
 // materializes.
-func (s *SafeSystem) SetPersister(p Persister, user string) {
+func (s *SafeSystem) setPersister(p Persister) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sys == nil {
 		s.parkPersist = p
-		if user != "" {
-			s.user = user
-		}
 		return
 	}
-	s.sys.SetPersister(p, user)
+	s.sys.SetPersister(p, s.user)
 }
 
 // SetPersister attaches one persistence hook to every shard of the
@@ -174,18 +172,25 @@ func (d *Directory) Replay(recs []journal.Record) error {
 	return nil
 }
 
-// ReplayShard is Replay for one shard's journal segment. It
-// additionally verifies that every record's user hashes to the given
-// shard, failing loudly when a segment is replayed into a directory
-// with a different shard count — the assignment decides segment
-// ownership, so a mismatch would scatter users across wrong journals.
+// ReplayShard is Replay for one shard's journal segment, and also the
+// replication follower's apply path for that segment's stream. The
+// records bypass the health gate and the persister: they are already
+// durable in the local segment (recovered from it, or grafted by
+// journal.AppendReplicated before this is called) and were validated
+// when first committed, and a follower's role gate would otherwise
+// reject its own stream. Each record lands under its own user's handle
+// lock, so the node serves reads while a stream applies.
+//
+// It verifies that every record's user hashes to the given shard: the
+// assignment decides segment ownership, so a misrouted record would
+// land a user's state in a shard no lookup ever consults.
 func (d *Directory) ReplayShard(shard int, recs []journal.Record) error {
 	if shard < 0 || shard >= len(d.shards) {
 		return fmt.Errorf("contextpref: replaying shard %d: directory has %d shards", shard, len(d.shards))
 	}
 	for i, r := range recs {
 		if own := d.ShardOf(r.User); own != shard {
-			return fmt.Errorf("contextpref: replaying shard %d record %d: user %q belongs to shard %d — was this store created with a different shard count?",
+			return fmt.Errorf("contextpref: replaying shard %d record %d: user %q belongs to shard %d",
 				shard, i, r.User, own)
 		}
 		if err := d.replayRecord(r); err != nil {
@@ -279,36 +284,6 @@ func applyRecord(s *System, r journal.Record) error {
 	}
 }
 
-// ApplyShardReplicated folds leader-shipped records of one shard's
-// segment stream into the directory's in-memory state. It bypasses the
-// health gate and the persister: the records are already durable in
-// the local journal segment (grafted by journal.AppendReplicated
-// before this is called) and were validated by the leader, and a
-// follower's role gate would otherwise reject its own replication
-// stream. Each record lands under its own user's handle lock, so the
-// node serves reads while the stream applies; a parked user's records
-// accumulate without materializing its tree.
-//
-// Like ReplayShard, it verifies that every record's user hashes to the
-// given shard before applying: the segment streams are independent, so
-// a misrouted record would silently land a user's state in a shard no
-// lookup ever consults.
-func (d *Directory) ApplyShardReplicated(shard int, recs []journal.Record) error {
-	if shard < 0 || shard >= len(d.shards) {
-		return fmt.Errorf("contextpref: applying replicated shard %d: directory has %d shards", shard, len(d.shards))
-	}
-	for i, r := range recs {
-		if own := d.ShardOf(r.User); own != shard {
-			return fmt.Errorf("contextpref: applying replicated shard %d record %d: user %q belongs to shard %d — leader and follower disagree on sharding",
-				shard, i, r.User, own)
-		}
-		if err := d.replayRecord(r); err != nil {
-			return fmt.Errorf("contextpref: applying replicated shard %d record %d (user %q): %w", shard, i, r.User, err)
-		}
-	}
-	return nil
-}
-
 // ResetShardReplicated replaces one shard's in-memory state with a
 // leader snapshot's records for that segment — the segment fell behind
 // the leader's compaction horizon and bootstrapped fresh
@@ -334,7 +309,7 @@ func (d *Directory) ResetShardReplicated(shard int, recs []journal.Record) error
 		}
 	}
 	sh.noteUsers()
-	return d.ApplyShardReplicated(shard, recs)
+	return d.ReplayShard(shard, recs)
 }
 
 // SnapshotRecords renders the system's current profile as add-records
@@ -365,21 +340,6 @@ func (s *SafeSystem) SnapshotRecords(user string) ([]journal.Record, error) {
 	recs := append([]journal.Record(nil), s.parked...)
 	s.mu.RUnlock()
 	return recs, nil
-}
-
-// SnapshotRecords renders every user's profile as user-created and
-// add-records, suitable for journal.Snapshot. Users with empty profiles
-// are preserved (as a bare user-created record).
-func (d *Directory) SnapshotRecords() ([]journal.Record, error) {
-	var out []journal.Record
-	for shard := range d.shards {
-		recs, err := d.SnapshotShardRecords(shard)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, recs...)
-	}
-	return out, nil
 }
 
 // SnapshotShardRecords renders one shard's users — and only them — for

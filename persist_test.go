@@ -245,7 +245,7 @@ func TestDirectorySnapshotCompaction(t *testing.T) {
 	if _, err := d.User("empty"); err != nil {
 		t.Fatal(err)
 	}
-	state, err := d.SnapshotRecords()
+	state, err := d.SnapshotShardRecords(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,8 +250,8 @@ func (sh *dirShard) setPersister(p Persister) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.persist = p
-	for name, sys := range sh.systems {
-		sys.SetPersister(p, name)
+	for _, sys := range sh.systems {
+		sys.setPersister(p)
 	}
 }
 
@@ -260,7 +260,7 @@ func (sh *dirShard) setHealth(h *Health) {
 	defer sh.mu.Unlock()
 	sh.health = h
 	for _, sys := range sh.systems {
-		sys.SetHealth(h)
+		sys.setHealth(h)
 	}
 }
 

@@ -261,7 +261,7 @@ func TestShardedReplicationFailoverTorture(t *testing.T) {
 			fdir := newShardedDir(t)
 			fol, err := replication.NewShardedFollower(fjs, replication.FollowerConfig{
 				DialSegment:  ln.dial,
-				ApplySegment: fdir.ApplyShardReplicated,
+				ApplySegment: fdir.ReplayShard,
 				ResetSegment: fdir.ResetShardReplicated,
 				Backoff:      time.Millisecond,
 				ReadTimeout:  250 * time.Millisecond,
@@ -402,7 +402,7 @@ func TestShardedReplicationFailoverTorture(t *testing.T) {
 					mu.Unlock()
 				}}, nil
 			},
-			ApplySegment: fdir.ApplyShardReplicated,
+			ApplySegment: fdir.ReplayShard,
 			ResetSegment: fdir.ResetShardReplicated,
 			Backoff:      time.Millisecond,
 			ReadTimeout:  250 * time.Millisecond,

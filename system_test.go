@@ -52,6 +52,25 @@ func newSystem(t *testing.T, opts ...Option) *System {
 	return sys
 }
 
+// newSafeSystem is newSystem as a user of a one-shard directory, the
+// way every SafeSystem is made.
+func newSafeSystem(t *testing.T, opts ...Option) *SafeSystem {
+	t.Helper()
+	env, err := ReferenceEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDirectory(env, buildPOIs(t), WithSystemOptions(opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := d.User("u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 func paperPreferences() []Preference {
 	return []Preference{
 		MustPreference(
@@ -558,7 +577,7 @@ func TestSystemRemovePreference(t *testing.T) {
 		t.Error("bad descriptor should fail")
 	}
 	// SafeSystem wrapper.
-	safe := Synchronized(newSystem(t))
+	safe := newSafeSystem(t)
 	if err := safe.AddPreferences(paperPreferences()...); err != nil {
 		t.Fatal(err)
 	}
