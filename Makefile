@@ -25,7 +25,7 @@ bench:
 # Tier-1 benchmarks as machine-readable JSON, for diffing in CI.
 # Parameterized by PR so each PR's numbers land in their own file
 # instead of silently overwriting the previous baseline.
-BENCH_PR ?= PR18
+BENCH_PR ?= PR24
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 # The paired tracing benchmark runs in its own pass with a long fixed
 # iteration count: its overhead_% metric compares two loopback-HTTP
@@ -58,16 +58,19 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseLineMatchesReference -fuzztime=30s ./internal/preference/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/cpql/
 	$(GO) test -fuzz=FuzzJournalRecovery -fuzztime=30s ./internal/journal/
+	$(GO) test -fuzz=FuzzJournalScanMatchesReference -fuzztime=30s ./internal/journal/
 	$(GO) test -fuzz='FuzzReplicationFrame$$' -fuzztime=30s ./internal/replication/
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=30s ./internal/tracing/
 
 # Quick fuzz smoke of the query and line parsers (the line parser also
-# against its reference) and journal recovery, cheap enough for CI.
+# against its reference) and journal recovery (the scan also against
+# its reference), cheap enough for CI.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/cpql/
 	$(GO) test -fuzz='FuzzParseLine$$' -fuzztime=5s ./internal/preference/
 	$(GO) test -fuzz=FuzzParseLineMatchesReference -fuzztime=5s ./internal/preference/
 	$(GO) test -fuzz=FuzzJournalRecovery -fuzztime=5s ./internal/journal/
+	$(GO) test -fuzz=FuzzJournalScanMatchesReference -fuzztime=5s ./internal/journal/
 	$(GO) test -fuzz='FuzzReplicationFrame$$' -fuzztime=5s ./internal/replication/
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=5s ./internal/tracing/
 

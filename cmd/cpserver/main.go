@@ -68,9 +68,9 @@
 // (fsync'd, see the internal/journal package for the record format)
 // before it is applied; on startup the server replays the snapshot and
 // the journal — tolerating a torn final batch from a crash mid-write —
-// and recovers every user's profile exactly. Recovered users are not
-// re-seeded from -profile. At graceful shutdown each journal is
-// compacted into a snapshot.
+// and recovers every user's profile exactly, all shards in parallel.
+// Recovered users are not re-seeded from -profile. At graceful
+// shutdown each journal is compacted into a snapshot.
 //
 // Store layout. A store is a SHARDS file holding the shard count N
 // (-shards, default 1) and one directory per shard,
@@ -131,9 +131,9 @@
 // -request-timeout deadline: resolution and query scans check it
 // cooperatively and a timed-out request answers a structured 503
 // {"code":"deadline"} with Retry-After instead of hanging. -rate-limit
-// bounds each user/key (X-API-Key header, else ?user) to a
-// token-bucket budget, answering 429 {"code":"rate_limited"} over it,
-// and admission to the -max-inflight semaphore is deadline-aware:
+// bounds each user (?user, else "default") to a token-bucket budget,
+// answering 429 {"code":"rate_limited"} over it, and admission to the
+// -max-inflight semaphore is deadline-aware:
 // requests predicted to miss their deadline in the queue are shed on
 // arrival with 503 {"code":"shed"}. The -chaos-* flags inject seeded
 // latency and error faults (off by default) for resilience drills;
@@ -167,9 +167,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -371,7 +373,7 @@ func main() {
 	flag.DurationVar(&cfg.writeTimeout, "write-timeout", 30*time.Second, "HTTP write timeout")
 	flag.DurationVar(&cfg.idleTimeout, "idle-timeout", 120*time.Second, "HTTP idle connection timeout")
 	flag.DurationVar(&cfg.requestTimeout, "request-timeout", 5*time.Second, "server-enforced per-request deadline; timed-out requests answer 503 {\"code\":\"deadline\"} (0 = disabled)")
-	flag.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-user/per-key request rate limit in requests/second; over-budget requests answer 429 (0 = disabled)")
+	flag.Float64Var(&cfg.rateLimit, "rate-limit", 0, "per-user request rate limit in requests/second; over-budget requests answer 429 (0 = disabled)")
 	flag.IntVar(&cfg.rateBurst, "rate-burst", 0, "token-bucket burst capacity for -rate-limit (0 = ceil(rate))")
 	flag.DurationVar(&cfg.chaosLatency, "chaos-latency", 0, "chaos: latency injected into every request before the handler (0 = disabled)")
 	flag.DurationVar(&cfg.chaosJitter, "chaos-jitter", 0, "chaos: uniformly random extra latency in [0, jitter)")
@@ -802,28 +804,25 @@ func build(cfg config) (*app, error) {
 }
 
 // openStore opens one journal segment per shard under cfg.store and
-// replays it into its shard, with one health tracker per shard: an I/O
+// replays it into its shard (recoverShards, all shards in parallel),
+// then gives each shard, in shard order, a health tracker: an I/O
 // failure in shard i degrades only shard i, and each shard recovers on
 // its own probe. A leader attaches each shard's persister; a follower
 // leaves them detached until promotion, since the segment streams are
 // the only writers. The journal instruments are shared — registration
 // is idempotent — so cp_journal_* series aggregate across segments.
 func (a *app) openStore(cfg config, dir *contextpref.Directory) error {
+	shards, err := recoverShards(cfg.store, dir)
+	if err != nil {
+		return err
+	}
 	jm := contextpref.NewJournalMetrics(a.reg)
-	for i := 0; i < cfg.shards; i++ {
-		j, recs, err := journal.Open(filepath.Join(cfg.store, journal.ShardDir(i)))
-		if err != nil {
-			return fmt.Errorf("opening shard %d store: %w", i, err)
-		}
+	for i, rs := range shards {
+		j := rs.journal
 		a.journals = append(a.journals, j)
 		j.SetMetrics(jm)
-		if len(recs) > 0 {
-			a.logger.Info("recovered shard journal records", "shard", i, "records", len(recs))
-		}
-		// Replay before attaching the persister, or replay would
-		// re-journal its own input.
-		if err := dir.ReplayShard(i, recs); err != nil {
-			return fmt.Errorf("replaying shard %d store: %w", i, err)
+		if rs.records > 0 {
+			a.logger.Info("recovered shard journal records", "shard", i, "records", rs.records, "duration", rs.took)
 		}
 		h := contextpref.NewShardHealth(i)
 		shard := i
@@ -843,7 +842,63 @@ func (a *app) openStore(cfg config, dir *contextpref.Directory) error {
 		a.healths = append(a.healths, h)
 	}
 	contextpref.RegisterShardHealthTelemetry(a.healths, a.reg)
-	var err error
 	a.compactor, err = contextpref.NewStaggeredCompactor(dir, a.journals, a.reg)
 	return err
+}
+
+// recoveredShard is one shard's journal segment, opened and replayed.
+type recoveredShard struct {
+	journal *journal.Journal
+	records int           // records replayed
+	took    time.Duration // journal scan plus replay
+}
+
+// recoverShards opens every shard's journal segment under store and
+// replays it into its shard, each shard in its own goroutine and at
+// most GOMAXPROCS at a time: shards share nothing at replay. It returns
+// once every goroutine has finished. On failure it closes every
+// journal that opened and returns the lowest-numbered failing shard's
+// error, so the error does not depend on scheduling.
+func recoverShards(store string, dir *contextpref.Directory) ([]recoveredShard, error) {
+	out := make([]recoveredShard, dir.NumShards())
+	errs := make([]error, len(out))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			out[i], errs[i] = recoverShard(store, dir, i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for _, rs := range out {
+				if rs.journal != nil {
+					rs.journal.Close()
+				}
+			}
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// recoverShard opens one shard's journal segment and replays it. The
+// journal is returned even when replay fails, so the caller closes it.
+func recoverShard(store string, dir *contextpref.Directory, i int) (recoveredShard, error) {
+	start := time.Now()
+	j, recs, err := journal.Open(filepath.Join(store, journal.ShardDir(i)))
+	if err != nil {
+		return recoveredShard{}, fmt.Errorf("opening shard %d store: %w", i, err)
+	}
+	// Replay before attaching the persister, or replay would re-journal
+	// its own input.
+	if err := dir.ReplayShard(i, recs); err != nil {
+		return recoveredShard{journal: j}, fmt.Errorf("replaying shard %d store: %w", i, err)
+	}
+	return recoveredShard{journal: j, records: len(recs), took: time.Since(start)}, nil
 }

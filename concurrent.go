@@ -3,7 +3,6 @@ package contextpref
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -232,23 +231,26 @@ func (s *SafeSystem) reattach(sh *dirShard, p Persister, name string) {
 	}
 }
 
-// appendParked folds one validated journal record into the handle:
-// applied directly if the system is resident, accumulated in the
-// parked archive otherwise. Shared by directory replay and the
-// replication apply path.
-func (s *SafeSystem) appendParked(r journal.Record) error {
+// appendParked folds a run of validated journal records of this
+// handle's user into it: applied in order if the system is resident,
+// appended to the parked archive otherwise. The records must own their
+// text, not alias the journal text they were read from. It returns how
+// many records it folded in, fewer than len(rs) only with the error
+// rs[n] caused. Shared by directory replay and the replication apply
+// path.
+func (s *SafeSystem) appendParked(rs []journal.Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sys != nil {
-		return applyRecord(s.sys, r)
+		for n, r := range rs {
+			if err := applyRecord(s.sys, r); err != nil {
+				return n, err
+			}
+		}
+		return len(rs), nil
 	}
-	// r's strings are substrings of the journal or snapshot text it was
-	// parsed from: archived as-is, one record would keep all of that
-	// text alive.
-	r.User = s.user
-	r.Line = strings.Clone(r.Line)
-	s.parked = append(s.parked, r)
-	return nil
+	s.parked = append(s.parked, rs...)
+	return len(rs), nil
 }
 
 // AddPreference inserts one preference under the write lock.

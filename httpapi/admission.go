@@ -1,11 +1,11 @@
 package httpapi
 
-// Admission control: the per-user/per-key token-bucket rate limiter and
+// Admission control: the per-user token-bucket rate limiter and
 // the deadline-aware queue admission in front of the inflight
 // semaphore. Together with the request timeout (WithRequestTimeout)
 // they bound what one request — and one user — can cost the server:
 //
-//   - the rate limiter rejects a key's excess request rate on arrival
+//   - the rate limiter rejects a user's excess request rate on arrival
 //     with 429 "rate_limited" before any work happens;
 //   - admission to the inflight semaphore is deadline-aware: a request
 //     whose estimated queue wait already exceeds its remaining deadline
@@ -40,13 +40,13 @@ func WithRequestTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithRateLimit bounds each user/key to rps requests per second with
-// the given burst capacity (burst <= 0 defaults to the ceiling of rps,
-// minimum 1). Requests are attributed to the X-API-Key header when
-// present, else the ?user query parameter, else "default"; a key over
-// its budget answers 429 {"code":"rate_limited"} with a Retry-After
-// hint and costs the server only the bucket lookup. rps <= 0 disables
-// rate limiting.
+// WithRateLimit bounds each user to rps requests per second with the
+// given burst capacity (burst <= 0 defaults to the ceiling of rps,
+// minimum 1). A request is charged to the user it is served as: the
+// ?user query parameter, else "default". No header chooses the bucket,
+// since nothing authenticates one. A user over its budget answers 429
+// {"code":"rate_limited"} with a Retry-After hint and costs the server
+// only the bucket lookup. rps <= 0 disables rate limiting.
 func WithRateLimit(rps float64, burst int) ServerOption {
 	return func(s *Server) {
 		if rps > 0 {
@@ -130,12 +130,9 @@ func (rl *rateLimiter) sweepLocked(now time.Time) {
 	}
 }
 
-// rateKey attributes a request to a rate-limit bucket: the X-API-Key
-// header when present, else the user the request is served as.
+// rateKey attributes a request to a rate-limit bucket: the user the
+// request is served as.
 func rateKey(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
-		return k
-	}
 	return userOf(r)
 }
 

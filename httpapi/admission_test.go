@@ -78,8 +78,8 @@ func TestRateKey(t *testing.T) {
 		t.Errorf("?user key = %q, want alice", k)
 	}
 	req.Header.Set("X-API-Key", "secret")
-	if k := rateKey(req); k != "secret" {
-		t.Errorf("header key = %q, want secret (header wins over ?user)", k)
+	if k := rateKey(req); k != "alice" {
+		t.Errorf("key with an X-API-Key header = %q, want alice, the user it is served as", k)
 	}
 
 	// Malformed and escaped queries: the key is the user that
@@ -119,20 +119,28 @@ func TestRateKey(t *testing.T) {
 	}
 
 	// End to end: once "default" is limited, a malformed ?user that is
-	// served as "default" is limited too.
+	// served as "default" is limited too, and so is every request that
+	// brings a fresh X-API-Key: a key picks no bucket of its own.
 	limited := defaultUserServer(t, env, rel, nil, "", WithRateLimit(0.001, 1))
 	for _, tc := range []struct {
-		target string
-		want   int
+		target, key string
+		want        int
 	}{
-		{"/preferences", http.StatusOK},
-		{"/preferences", http.StatusTooManyRequests},
-		{"/preferences?user=%zz1", http.StatusTooManyRequests},
+		{"/preferences", "", http.StatusOK},
+		{"/preferences", "", http.StatusTooManyRequests},
+		{"/preferences?user=%zz1", "", http.StatusTooManyRequests},
+		{"/preferences", "k1", http.StatusTooManyRequests},
+		{"/preferences", "k2", http.StatusTooManyRequests},
+		{"/preferences", "k3", http.StatusTooManyRequests},
 	} {
+		req := httptest.NewRequest("GET", tc.target, nil)
+		if tc.key != "" {
+			req.Header.Set("X-API-Key", tc.key)
+		}
 		rec := httptest.NewRecorder()
-		limited.ServeHTTP(rec, httptest.NewRequest("GET", tc.target, nil))
+		limited.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
-			t.Errorf("GET %s = %d, want %d", tc.target, rec.Code, tc.want)
+			t.Errorf("GET %s with key %q = %d, want %d", tc.target, tc.key, rec.Code, tc.want)
 		}
 	}
 }

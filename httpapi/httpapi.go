@@ -78,7 +78,7 @@
 // (profile-tree resolution, relation scans, multi-state Rank_CS) check
 // it cooperatively, so a timed-out or disconnected client stops the
 // work early instead of running it to completion. WithRateLimit
-// enforces a per-user/per-key token bucket before any work happens,
+// enforces a per-user token bucket before any work happens,
 // and admission to the inflight semaphore is deadline-aware: requests
 // whose predicted queue wait exceeds their remaining deadline are shed
 // on arrival. WithChaos injects seeded, deterministic latency and
@@ -138,7 +138,7 @@ type Server struct {
 	// reqTimeout, when positive, is the server-enforced per-request
 	// deadline (WithRequestTimeout).
 	reqTimeout time.Duration
-	// limiter, when non-nil, enforces per-user/per-key rate limits
+	// limiter, when non-nil, enforces per-user rate limits
 	// (WithRateLimit).
 	limiter *rateLimiter
 	// chaos, when non-nil, injects faults before the handler
@@ -411,7 +411,7 @@ func isProbe(r *http.Request) bool {
 
 // ServeHTTP implements http.Handler: request-ID tagging, telemetry and
 // panic recovery, then — for non-probe requests — the server deadline,
-// per-key rate limiting, deadline-aware admission to the inflight
+// per-user rate limiting, deadline-aware admission to the inflight
 // semaphore, chaos injection, and finally the route mux. Probes
 // (/healthz, /readyz) bypass every limit so they see the truth even
 // when the server is saturated.

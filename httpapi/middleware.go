@@ -84,7 +84,7 @@ func newHTTPMetrics(reg *telemetry.Registry) *httpMetrics {
 		timeouts: reg.Counter("cp_request_timeouts_total",
 			"Requests answered with the structured deadline error (server deadline exceeded)."),
 		rateLimits: reg.Counter("cp_rate_limited_total",
-			"Requests rejected by the per-user/per-key token-bucket rate limiter."),
+			"Requests rejected by the per-user token-bucket rate limiter."),
 		chaosInject: reg.CounterVec("cp_chaos_injected_total",
 			"Faults injected by the chaos middleware, by kind (latency, error).", "kind"),
 	}

@@ -73,20 +73,23 @@ func TestRequestTimeoutDeadline(t *testing.T) {
 	}
 }
 
-func TestRateLimitPerKey(t *testing.T) {
+// TestRateLimitPerUser pins the bucket to the user a request is served
+// as: a second key on the same user shares its bucket, and another
+// ?user has its own.
+func TestRateLimitPerUser(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := overloadServer(t, nil, WithRateLimit(1, 1), WithTelemetry(reg))
-	do := func(key string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("GET", "/env", nil)
+	do := func(target, key string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", target, nil)
 		req.Header.Set("X-API-Key", key)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		return rec
 	}
-	if rec := do("alice"); rec.Code != http.StatusOK {
+	if rec := do("/env?user=alice", "k1"); rec.Code != http.StatusOK {
 		t.Fatalf("first request: status = %d, want 200", rec.Code)
 	}
-	rec := do("alice")
+	rec := do("/env?user=alice", "k1")
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("second request: status = %d, want 429", rec.Code)
 	}
@@ -96,12 +99,16 @@ func TestRateLimitPerKey(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("rate-limited response missing Retry-After")
 	}
-	// A different key has its own bucket.
-	if rec := do("bob"); rec.Code != http.StatusOK {
-		t.Errorf("other key: status = %d, want 200", rec.Code)
+	// Another key on the same user shares the user's bucket.
+	if rec := do("/env?user=alice", "k2"); rec.Code != http.StatusTooManyRequests {
+		t.Errorf("second key on the same user: status = %d, want 429", rec.Code)
 	}
-	if n := reg.Counter("cp_rate_limited_total", "").Value(); n != 1 {
-		t.Errorf("cp_rate_limited_total = %d, want 1", n)
+	// A different user has its own bucket.
+	if rec := do("/env?user=bob", "k1"); rec.Code != http.StatusOK {
+		t.Errorf("other user: status = %d, want 200", rec.Code)
+	}
+	if n := reg.Counter("cp_rate_limited_total", "").Value(); n != 2 {
+		t.Errorf("cp_rate_limited_total = %d, want 2", n)
 	}
 }
 

@@ -23,8 +23,8 @@
 //	C   batch commit marker (payload: the batch's record count)
 //
 // seq is a monotonically increasing decimal sequence number, user is a
-// Go-quoted user name ("" in single-user deployments) and crc32-hex is
-// the IEEE CRC-32 of the payload bytes in fixed-width hex. Blank lines
+// Go-quoted user name ("" on commit markers) and crc32-hex is the IEEE
+// CRC-32 of the payload bytes in fixed-width hex. Blank lines
 // and lines starting with '#' are ignored. The payload reuses the
 // preference line encoding of internal/preference, e.g.
 //
@@ -70,7 +70,6 @@
 package journal
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -119,7 +118,8 @@ func (op Op) valid() bool {
 type Record struct {
 	// Op is the mutation type.
 	Op Op
-	// User is the owning user name ("" in single-user deployments).
+	// User is the owning user name, never empty in a record Open
+	// returns.
 	User string
 	// Line is the preference in the line encoding; empty for OpUser
 	// and OpDrop.
@@ -281,6 +281,11 @@ func ShardDir(shard int) string {
 // filesystem, recovers the persisted records — snapshot first, then the
 // journal tail — and returns the journal ready for appending. A torn
 // journal tail is truncated away; see the package comment.
+//
+// Recovery copies no record: each recovered record's user and payload
+// are substrings of the text of the file it was read from, so one
+// record kept keeps that whole file's text alive. A holder that keeps
+// a record past recovery must copy its strings.
 func Open(dir string, opts ...Option) (*Journal, []Record, error) {
 	return OpenFS(faultfs.OS{}, dir, opts...)
 }
@@ -322,11 +327,19 @@ func OpenFS(fsys faultfs.FS, dir string, opts ...Option) (*Journal, []Record, er
 		}
 	}
 	nextSeq := lastSeq + 1
+	// The journal's records follow the snapshot's, less those the
+	// snapshot already folded in; without snapshot records, the scan's
+	// slice is filtered in place and returned as it is.
+	tail := scan.recs[:0]
 	for i, r := range scan.recs {
-		if scan.seqs[i] <= lastSeq {
-			continue // already folded into the snapshot
+		if scan.seqs[i] > lastSeq {
+			tail = append(tail, r)
 		}
-		recs = append(recs, r)
+	}
+	if len(recs) == 0 {
+		recs = tail
+	} else {
+		recs = append(recs, tail...)
 	}
 	if scan.maxSeq >= nextSeq {
 		nextSeq = scan.maxSeq + 1
@@ -627,31 +640,43 @@ func marshal(r Record, seq uint64) (string, error) {
 		byte(r.Op), seq, strconv.Quote(r.User), crc32.ChecksumIEEE([]byte(r.Line)), r.Line), nil
 }
 
-// parseRecord reads one record line (without its trailing newline).
-func parseRecord(line string) (Record, uint64, error) {
-	parts := strings.SplitN(line, "\t", 5)
-	if len(parts) != 5 {
-		return Record{}, 0, fmt.Errorf("journal: %d fields, want 5", len(parts))
+// parseRecord reads one record line (without its line ending). raw
+// holds the same bytes as line, and the checksum is computed over them,
+// so a caller holding the file's bytes checks it without a copy. The
+// record's user and payload are substrings of line.
+func parseRecord(line string, raw []byte) (Record, uint64, error) {
+	var f [5]string
+	n, rest := 0, line
+	for ; n < len(f)-1; n++ {
+		tab := strings.IndexByte(rest, '\t')
+		if tab < 0 {
+			break
+		}
+		f[n], rest = rest[:tab], rest[tab+1:]
 	}
-	if len(parts[0]) != 1 || !(Op(parts[0][0]).valid() || Op(parts[0][0]) == opCommit) {
-		return Record{}, 0, fmt.Errorf("journal: invalid op %q", parts[0])
+	f[n] = rest
+	if n++; n != len(f) {
+		return Record{}, 0, fmt.Errorf("journal: %d fields, want 5", n)
 	}
-	seq, err := strconv.ParseUint(parts[1], 10, 64)
+	if len(f[0]) != 1 || !(Op(f[0][0]).valid() || Op(f[0][0]) == opCommit) {
+		return Record{}, 0, fmt.Errorf("journal: invalid op %q", f[0])
+	}
+	seq, err := strconv.ParseUint(f[1], 10, 64)
 	if err != nil {
-		return Record{}, 0, fmt.Errorf("journal: bad sequence number %q", parts[1])
+		return Record{}, 0, fmt.Errorf("journal: bad sequence number %q", f[1])
 	}
-	user, err := strconv.Unquote(parts[2])
+	user, err := strconv.Unquote(f[2])
 	if err != nil {
-		return Record{}, 0, fmt.Errorf("journal: bad user field %q", parts[2])
+		return Record{}, 0, fmt.Errorf("journal: bad user field %q", f[2])
 	}
-	sum, err := strconv.ParseUint(parts[3], 16, 32)
+	sum, err := strconv.ParseUint(f[3], 16, 32)
 	if err != nil {
-		return Record{}, 0, fmt.Errorf("journal: bad checksum field %q", parts[3])
+		return Record{}, 0, fmt.Errorf("journal: bad checksum field %q", f[3])
 	}
-	if got := crc32.ChecksumIEEE([]byte(parts[4])); got != uint32(sum) {
+	if got := crc32.ChecksumIEEE(raw[len(raw)-len(f[4]):]); got != uint32(sum) {
 		return Record{}, 0, fmt.Errorf("journal: checksum mismatch (%08x != %08x)", got, sum)
 	}
-	return Record{Op: Op(parts[0][0]), User: user, Line: parts[4]}, seq, nil
+	return Record{Op: Op(f[0][0]), User: user, Line: f[4]}, seq, nil
 }
 
 // readSnapshot strictly parses the snapshot file (it is written
@@ -678,36 +703,45 @@ func readSnapshot(fsys faultfs.FS, path string) ([]Record, uint64, error) {
 //
 //cpvet:deterministic
 func parseSnapshot(data []byte) (recs []Record, lastSeq uint64, hasMeta bool, err error) {
-	for ln, raw := range strings.Split(string(data), "\n") {
+	text := string(data)
+	recs = make([]Record, 0, strings.Count(text, "\n")+1)
+	for ln, off := 1, 0; off <= len(text); ln++ {
+		end := strings.IndexByte(text[off:], '\n')
+		if end < 0 {
+			end = len(text) - off
+		}
 		// Only trim the line ending: a record with an empty payload
 		// legitimately ends in a tab.
-		line := strings.TrimRight(raw, "\r")
+		line := strings.TrimRight(text[off:off+end], "\r")
+		raw := data[off : off+len(line)]
+		off += end + 1
 		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		if rest, ok := strings.CutPrefix(line, metaPrefix); ok {
 			lastSeq, err = strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
 			if err != nil {
-				return nil, 0, false, fmt.Errorf("journal: snapshot line %d: bad lastseq: %w", ln+1, err)
+				return nil, 0, false, fmt.Errorf("journal: snapshot line %d: bad lastseq: %w", ln, err)
 			}
 			hasMeta = true
 			continue
 		}
-		r, _, err := parseRecord(line)
+		r, _, err := parseRecord(line, raw)
 		if err != nil {
-			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: %w", ln+1, err)
+			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: %w", ln, err)
 		}
 		if r.Op == opCommit {
-			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: commit marker in snapshot", ln+1)
+			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: commit marker in snapshot", ln)
 		}
 		recs = append(recs, r)
 	}
 	return recs, lastSeq, hasMeta, nil
 }
 
-// journalScan is the result of tolerantly parsing the journal file.
+// journalScan is the result of tolerantly parsing the journal.
 type journalScan struct {
-	// recs/seqs hold the committed records in order.
+	// recs/seqs hold the committed records in order. Their strings are
+	// substrings of the journal file's text.
 	recs []Record
 	seqs []uint64
 	// maxSeq is the highest committed sequence number, including the
@@ -724,8 +758,13 @@ type journalScan struct {
 // readJournal tolerantly parses the journal: it stops at the first
 // invalid, unterminated, or mis-framed line and reports the byte length
 // of the committed prefix so the caller can truncate the tail away. In
-// the commit-framed format, records are buffered until their batch's
+// the commit-framed format, a batch's records count only once its
 // commit marker is seen — an uncommitted batch is dropped entirely.
+//
+// The file is converted to a string once and every record's fields are
+// substrings of it; each checksum runs over the file's bytes. Records
+// are appended straight into slices sized by the line count, and an
+// unfinished batch is cut off their end.
 //
 //cpvet:deterministic
 func readJournal(fsys faultfs.FS, path string) (journalScan, error) {
@@ -737,30 +776,35 @@ func readJournal(fsys faultfs.FS, path string) (journalScan, error) {
 	if err != nil {
 		return scan, fmt.Errorf("journal: reading journal: %w", err)
 	}
-	scan.legacy = bytes.HasPrefix(data, []byte(legacyHeader+"\n")) ||
-		string(data) == legacyHeader // torn header newline: still v1
-	var pending []Record
-	var pendingSeqs []uint64
+	text := string(data)
+	scan.legacy = strings.HasPrefix(text, legacyHeader+"\n") ||
+		text == legacyHeader // torn header newline: still v1
+	lines := strings.Count(text, "\n")
+	scan.recs = make([]Record, 0, lines)
+	scan.seqs = make([]uint64, 0, lines)
+	// committed is how many of scan.recs the last commit covered; the
+	// records past it are the pending batch.
+	committed := 0
 	off := 0
 scanLoop:
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
+	for off < len(text) {
+		nl := strings.IndexByte(text[off:], '\n')
 		if nl < 0 {
 			break // unterminated final line: torn write
 		}
 		end := off + nl + 1
-		line := strings.TrimRight(string(data[off:off+nl]), "\r")
+		line := strings.TrimRight(text[off:off+nl], "\r")
 		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
 			// Comments between batches (the header, probe lines) are
 			// committed ground; mid-batch they cannot occur, and
 			// advancing there would resurrect a torn batch.
-			if len(pending) == 0 {
+			if len(scan.recs) == committed {
 				scan.validLen = int64(end)
 			}
 			off = end
 			continue
 		}
-		r, seq, perr := parseRecord(line)
+		r, seq, perr := parseRecord(line, data[off:off+len(line)])
 		if perr != nil {
 			break // corrupt record: keep only the prefix before it
 		}
@@ -772,28 +816,28 @@ scanLoop:
 			}
 			scan.recs = append(scan.recs, r)
 			scan.seqs = append(scan.seqs, seq)
+			committed = len(scan.recs)
 			if seq > scan.maxSeq {
 				scan.maxSeq = seq
 			}
 			scan.validLen = int64(end)
 		case r.Op == opCommit:
 			count, cerr := strconv.Atoi(r.Line)
-			if cerr != nil || count != len(pending) || count == 0 {
+			if cerr != nil || count != len(scan.recs)-committed || count == 0 {
 				break scanLoop // mis-framed commit: corruption
 			}
-			scan.recs = append(scan.recs, pending...)
-			scan.seqs = append(scan.seqs, pendingSeqs...)
-			pending, pendingSeqs = pending[:0], pendingSeqs[:0]
+			committed = len(scan.recs)
 			if seq > scan.maxSeq {
 				scan.maxSeq = seq
 			}
 			scan.validLen = int64(end)
 		default:
-			pending = append(pending, r)
-			pendingSeqs = append(pendingSeqs, seq)
+			scan.recs = append(scan.recs, r)
+			scan.seqs = append(scan.seqs, seq)
 		}
 		off = end
 	}
+	scan.recs, scan.seqs = scan.recs[:committed], scan.seqs[:committed]
 	return scan, nil
 }
 

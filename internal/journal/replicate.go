@@ -159,7 +159,7 @@ func scanBatches(data []byte) []Batch {
 			off = end
 			continue
 		}
-		r, seq, perr := parseRecord(line)
+		r, seq, perr := parseRecord(line, data[off:off+len(line)])
 		if perr != nil {
 			break
 		}
@@ -197,7 +197,7 @@ func parseBatch(data []byte) (recs []Record, firstSeq, commitSeq uint64, err err
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
 	for i, line := range lines {
-		r, seq, perr := parseRecord(line)
+		r, seq, perr := parseRecord(line, []byte(line))
 		if perr != nil {
 			return nil, 0, 0, fmt.Errorf("journal: replicated batch line %d: %w", i+1, perr)
 		}

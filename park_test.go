@@ -699,3 +699,89 @@ func TestParkedRecordsOwnTheirText(t *testing.T) {
 		t.Fatalf("unparked profile has %d preferences, want 1", got)
 	}
 }
+
+// TestReplaySharesOneCopyPerLine pins the line map of one replay call:
+// every parked record of one text, across users, shares one copy of
+// it, and that copy is not the journal text the records were read
+// from.
+func TestReplaySharesOneCopyPerLine(t *testing.T) {
+	env, rel := persistFixture(t)
+	d, err := NewDirectory(env, rel, WithShards(4), WithMaxResidentUsers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const line = "[time = t05] => type = gallery : 0.7"
+	users := shardUsers(4, 3)[2]
+	var recs []journal.Record
+	read := ""
+	for _, u := range users {
+		recs = append(recs, addRecords(u, line)...)
+		read += line
+	}
+	for i := range recs {
+		if recs[i].Op == journal.OpAdd {
+			recs[i].Line, read = read[:len(line)], read[len(line):]
+		}
+	}
+	if err := d.ReplayShard(2, recs); err != nil {
+		t.Fatal(err)
+	}
+	var shared *byte
+	for i, u := range users {
+		sys, _ := d.Lookup(u)
+		if len(sys.parked) != 1 {
+			t.Fatalf("%s parked %d records, want 1", u, len(sys.parked))
+		}
+		p := unsafe.StringData(sys.parked[0].Line)
+		if p == unsafe.StringData(recs[2*i+1].Line) {
+			t.Errorf("%s's parked line aliases the replayed record", u)
+		}
+		if shared == nil {
+			shared = p
+		} else if p != shared {
+			t.Errorf("%s's parked line is a copy of its own", u)
+		}
+	}
+}
+
+// TestReplayErrorInsideARun pins what a bad line in the middle of one
+// user's run of records reports and leaves behind, as when every record
+// was replayed on its own: the error names the record's index and user,
+// the records before it in the run are parked, and the same line fails
+// again on every later replay.
+func TestReplayErrorInsideARun(t *testing.T) {
+	env, rel := persistFixture(t)
+	const bad = "[time = t01] => type = museum : 2"
+	_, parseErr := ParsePreference(bad)
+	if parseErr == nil {
+		t.Fatal("the bad line parses")
+	}
+	users := shardUsers(4, 2)[1]
+	recs := append(addRecords(users[0], "[] => type = park : 0.4"),
+		addRecords(users[1], "[time = t02] => type = zoo : 0.3", "[] => type = park : 0.4", bad, "[] => type = cafeteria : 0.2")...)
+	d, err := NewDirectory(env, rel, WithShards(4), WithMaxResidentUsers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("contextpref: replaying shard 1 record 5 (user %q): %v", users[1], parseErr)
+	for call := 0; call < 2; call++ {
+		if err := d.ReplayShard(1, recs); err == nil || err.Error() != want {
+			t.Fatalf("call %d: ReplayShard = %v, want %s", call, err, want)
+		}
+	}
+	sys, ok := d.Lookup(users[1])
+	if !ok {
+		t.Fatalf("%s not created", users[1])
+	}
+	if got := recordLines(sys.parked); len(got) != 4 || got[1] != "[] => type = park : 0.4" {
+		t.Errorf("%s parked %q after two failed replays, want the two lines before the bad one, twice", users[1], got)
+	}
+	other, err := NewDirectory(env, rel, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = fmt.Sprintf("contextpref: replaying record 5 (user %q): %v", users[1], parseErr)
+	if err := other.Replay(recs); err == nil || err.Error() != want {
+		t.Errorf("Replay = %v, want %s", err, want)
+	}
+}

@@ -29,11 +29,12 @@ import (
 )
 
 // Persister observes committed profile mutations so they can be made
-// durable. user is "" in single-user deployments and the directory key
-// in multi-user ones. The context carries request-scoped observability
-// (tracing spans, deadlines are advisory — a started persist must
-// complete or roll back whole regardless of cancellation). Implementations
-// must be safe for concurrent use.
+// durable. user is the Directory key of the profile that changed; a
+// bare System persists under the name given to SetPersister. The
+// context carries request-scoped observability (tracing spans,
+// deadlines are advisory — a started persist must complete or roll
+// back whole regardless of cancellation). Implementations must be safe
+// for concurrent use.
 type Persister interface {
 	// PersistCreateUser records the creation of a user profile.
 	PersistCreateUser(ctx context.Context, user string) error
@@ -164,12 +165,7 @@ func (s *System) Replay(recs []journal.Record) error {
 // to apply at that point (impossible for a journal this package wrote)
 // surfaces from the access that triggered the load.
 func (d *Directory) Replay(recs []journal.Record) error {
-	for i, r := range recs {
-		if err := d.replayRecord(r); err != nil {
-			return fmt.Errorf("contextpref: replaying record %d (user %q): %w", i, r.User, err)
-		}
-	}
-	return nil
+	return d.replay(-1, recs)
 }
 
 // ReplayShard is Replay for one shard's journal segment, and also the
@@ -188,57 +184,96 @@ func (d *Directory) ReplayShard(shard int, recs []journal.Record) error {
 	if shard < 0 || shard >= len(d.shards) {
 		return fmt.Errorf("contextpref: replaying shard %d: directory has %d shards", shard, len(d.shards))
 	}
-	for i, r := range recs {
-		if own := d.ShardOf(r.User); own != shard {
-			return fmt.Errorf("contextpref: replaying shard %d record %d: user %q belongs to shard %d",
-				shard, i, r.User, own)
-		}
-		if err := d.replayRecord(r); err != nil {
-			return fmt.Errorf("contextpref: replaying shard %d record %d (user %q): %w", shard, i, r.User, err)
-		}
-	}
-	return nil
+	return d.replay(shard, recs)
 }
 
-// replayRecord folds one recovered (or replicated) record into the
-// directory: drops delete the user, creations ensure a parked handle,
-// and add/remove records accumulate in the handle — applied directly
-// only if the user happens to be resident.
-func (d *Directory) replayRecord(r journal.Record) error {
-	if r.User == "" {
-		return fmt.Errorf("contextpref: record without a user in a directory journal")
+// replay folds recovered (or replicated) records into the directory, in
+// order: drops delete the user, creations ensure a parked handle, and
+// add/remove records accumulate in the handle — applied directly only
+// if the user happens to be resident. With shard >= 0 every record's
+// user must hash to that shard.
+//
+// A run of one user's consecutive creations, adds and removes costs one
+// handle lookup and one append. Each distinct add/remove line is parsed
+// once per call: ParseLine is a pure function of the text, so a line
+// that parsed is valid at every occurrence, and every parked record
+// with that text shares one copy of it, owned by the directory rather
+// than by the text the records were read from. A line that fails to
+// parse fails at every occurrence, and the records before it are
+// folded in first, as if each record were replayed alone.
+func (d *Directory) replay(shard int, recs []journal.Record) error {
+	fail := func(i int, err error) error {
+		if shard < 0 {
+			return fmt.Errorf("contextpref: replaying record %d (user %q): %w", i, recs[i].User, err)
+		}
+		return fmt.Errorf("contextpref: replaying shard %d record %d (user %q): %w", shard, i, recs[i].User, err)
 	}
-	sh := d.shardFor(r.User)
-	switch r.Op {
-	case journal.OpDrop:
-		sh.mu.Lock()
-		sys, ok := sh.systems[r.User]
-		delete(sh.systems, r.User)
-		delete(sh.residents, sys)
-		sh.mu.Unlock()
-		if ok {
-			if sys.detach() {
-				sh.noteResident(-1)
+	lines := make(map[string]string)
+	var run []journal.Record
+	var at []int // at[k] is the index in recs of run[k]
+	for i := 0; i < len(recs); {
+		user := recs[i].User
+		own := UserShard(user, len(d.shards))
+		if shard >= 0 && own != shard {
+			return fmt.Errorf("contextpref: replaying shard %d record %d: user %q belongs to shard %d",
+				shard, i, user, own)
+		}
+		if user == "" {
+			return fail(i, fmt.Errorf("contextpref: record without a user in a directory journal"))
+		}
+		sh := d.shards[own]
+		switch op := recs[i].Op; op {
+		case journal.OpDrop:
+			sh.dropReplayed(user)
+			i++
+			continue
+		case journal.OpUser, journal.OpAdd, journal.OpRemove:
+		default:
+			return fail(i, fmt.Errorf("contextpref: unknown journal op %q", string(rune(op))))
+		}
+		run, at = run[:0], at[:0]
+		var perr error
+		j := i
+	runLoop:
+		for ; j < len(recs) && recs[j].User == user; j++ {
+			r := recs[j]
+			switch r.Op {
+			case journal.OpUser:
+				continue
+			case journal.OpAdd, journal.OpRemove:
+			default:
+				break runLoop // a drop or an unknown op ends the run
 			}
-			d.usersDropped.Inc()
-			sh.noteUsers()
+			line, ok := lines[r.Line]
+			if !ok {
+				if _, perr = ParsePreference(r.Line); perr != nil {
+					break
+				}
+				line = strings.Clone(r.Line)
+				lines[line] = line
+			}
+			run = append(run, journal.Record{Op: r.Op, Line: line})
+			at = append(at, j)
 		}
-		return nil
-	case journal.OpUser:
-		_, err := sh.parkedEntry(r.User)
-		return err
-	case journal.OpAdd, journal.OpRemove:
-		if _, err := ParsePreference(r.Line); err != nil {
-			return err
+		// The handle exists once a creation or a valid line was seen.
+		if j > i {
+			sys, err := sh.parkedEntry(user)
+			if err != nil {
+				return fail(i, err)
+			}
+			for k := range run {
+				run[k].User = sys.user
+			}
+			if n, err := sys.appendParked(run); err != nil {
+				return fail(at[n], err)
+			}
 		}
-		sys, err := sh.parkedEntry(r.User)
-		if err != nil {
-			return err
+		if perr != nil {
+			return fail(j, perr)
 		}
-		return sys.appendParked(r)
-	default:
-		return fmt.Errorf("contextpref: unknown journal op %q", string(rune(r.Op)))
+		i = j
 	}
+	return nil
 }
 
 // replayOne applies one add/remove record to a bare system. Recovery

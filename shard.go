@@ -59,10 +59,9 @@ func UserShard(user string, shards int) int {
 }
 
 // WithShards splits the directory into n fault-isolated shards
-// (default 1, which preserves the single-lock, single-journal
-// behavior). Each shard gets its own lock, Health tracker slot, and
-// Persister slot; see SetShardPersister/SetShardHealth. n < 1 is
-// treated as 1.
+// (default 1: one lock, one journal segment). Each shard gets its own
+// lock, Health tracker slot, and Persister slot; see
+// SetShardPersister/SetShardHealth. n < 1 is treated as 1.
 func WithShards(n int) DirectoryOption {
 	return func(d *Directory) { d.numShards = n }
 }
@@ -321,6 +320,23 @@ func (sh *dirShard) parkedEntry(name string) (*SafeSystem, error) {
 	sh.d.usersCreated.Inc()
 	sh.noteUsers()
 	return sys, nil
+}
+
+// dropReplayed deletes a user for a replayed drop record; a user the
+// shard does not know is nothing to drop.
+func (sh *dirShard) dropReplayed(name string) {
+	sh.mu.Lock()
+	sys, ok := sh.systems[name]
+	delete(sh.systems, name)
+	delete(sh.residents, sys)
+	sh.mu.Unlock()
+	if ok {
+		if sys.detach() {
+			sh.noteResident(-1)
+		}
+		sh.d.usersDropped.Inc()
+		sh.noteUsers()
+	}
 }
 
 // admit records a handle that has just materialized in the resident
