@@ -25,8 +25,16 @@ bench:
 # Tier-1 benchmarks as machine-readable JSON, for diffing in CI.
 # Parameterized by PR so each PR's numbers land in their own file
 # instead of silently overwriting the previous baseline.
-BENCH_PR ?= PR24
+BENCH_PR ?= PR25
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
+# The newest committed BENCH file by PR number, and the newest other
+# than BENCH_OUT. The paper's own counts (every metric of the Table 1,
+# Fig. 5-7 and ablation benchmarks) must equal theirs: bench-json checks
+# its new file against the latter, bench-smoke its run against the
+# former (`benchjson -compare`, which also prints allocs/op and B/op
+# changes and ignores ns/op).
+BENCH_NEWEST = $(shell ls BENCH_PR*.json | sort -V | tail -n 1)
+BENCH_PREV = $(shell ls BENCH_PR*.json | grep -vx '$(BENCH_OUT)' | sort -V | tail -n 1)
 # The paired tracing benchmark runs in its own pass with a long fixed
 # iteration count: its overhead_% metric compares two loopback-HTTP
 # arms whose scheduler noise only averages out over tens of thousands
@@ -35,12 +43,15 @@ BENCH_OUT ?= BENCH_$(BENCH_PR).json
 bench-json:
 	{ $(GO) test -run='^$$' -bench=. -benchmem -skip='ResolveTracing/paired$$' . && \
 	  $(GO) test -run='^$$' -bench='ResolveTracing/paired$$' -benchtime=2500x -benchmem . ; } | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
+	$(GO) run ./cmd/benchjson -compare $(BENCH_PREV) < $(BENCH_OUT)
 
 # One-iteration smoke of the bench-json pipeline: proves the benchmarks
-# still compile and the JSON converter still parses their output,
-# without paying for a real measurement. CI runs this on every PR.
+# still compile, the converter still parses their output, and the
+# paper's counts, which repeat exactly at one iteration, still equal the
+# newest BENCH file's, without paying for a real measurement. CI runs
+# this on every PR.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson > /dev/null
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson -compare $(BENCH_NEWEST)
 
 # Regenerates every table and figure of the paper's evaluation.
 experiments:

@@ -5,13 +5,15 @@ package contextpref
 // /preferences of a new user costs), and recovering a parked-users
 // store at startup, from records in memory and from disk.
 // TestLoadAllocBudgets pins the allocation counts of the parse, the
-// upload and the recovery from disk, so a regression on the load path
-// fails tier-1 rather than waiting for the next benchmark run.
+// upload and the recovery from disk, and TestLoadRetainedHeap the heap
+// a loaded profile keeps, so a regression on the load path fails tier-1
+// rather than waiting for the next benchmark run.
 
 import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -229,16 +231,56 @@ func BenchmarkStoreRecovery(b *testing.B) {
 
 // Allocation ceilings of the load path on the fixtures above. The parser
 // allocates a line's descriptor atoms and their shared values array, and
-// nothing else; a load adds one descriptor expansion per preference and
-// the profile tree's own cells. A recovered record costs no allocation
-// of its own in the journal scan; replay parses, and copies once, each
-// distinct line of a shard, and allocates a handle and one parked slice
-// per user.
+// nothing else; a load adds one descriptor expansion per preference, the
+// profile tree's own cells and one copy of each stored clause's strings,
+// and makes about 396 KB in all (about 4,060 allocations). A recovered
+// record costs no allocation of its own in the journal scan; replay
+// parses, and copies once, each distinct line of a shard, and allocates
+// a handle and one parked slice per user.
 const (
 	parseAllocBudget    = 3
-	loadAllocBudget     = 6500
+	loadAllocBudget     = 4450
+	loadBytesBudget     = 435000
 	recoveryAllocBudget = 2.5
 )
+
+// retainedHeapBudget caps the heap one loaded 522-preference profile
+// keeps alive once its upload body is garbage: the system and its
+// profile tree, about 92 KB, and nothing of the text it was loaded
+// from, which alone would add its body's 49 KB or more.
+const retainedHeapBudget = 100 << 10
+
+// TestLoadRetainedHeap loads 64 profiles, the fixture's texts in turn,
+// each from a fresh body converted at the call as handleAdd converts
+// it, and measures the live heap they hold after a collection. A tree
+// that kept a substring of its body would keep the whole body alive.
+func TestLoadRetainedHeap(t *testing.T) {
+	env, rel, texts := loadFixture(t)
+	const profiles = 64
+	systems := make([]*System, profiles)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range systems {
+		sys, err := NewSystem(env, rel, WithQueryCache(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := []byte(texts[i%loadTextCount])
+		if err := sys.LoadProfile(string(body)); err != nil {
+			t.Fatal(err)
+		}
+		systems[i] = sys
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(systems)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / profiles
+	t.Logf("retained heap: %d bytes per loaded profile, budget %d", per, retainedHeapBudget)
+	if per > retainedHeapBudget {
+		t.Errorf("a loaded profile retains %d bytes of heap, budget %d", per, retainedHeapBudget)
+	}
+}
 
 // TestLoadAllocBudgets pins the load path's allocation counts with
 // testing.AllocsPerRun: parsing one line of the fixture (averaged over
@@ -246,7 +288,9 @@ const (
 // recovering the parked-users store (per recovered record). AllocsPerRun
 // floors its mean to an integer, so one run parses every line, or
 // recovers every record, and the total is divided here: the per-line
-// and per-record means are compared unfloored.
+// and per-record means are compared unfloored. It also pins the bytes
+// one load allocates, from runtime.MemStats.TotalAlloc over a load of
+// each text.
 func TestLoadAllocBudgets(t *testing.T) {
 	env, rel, texts := loadFixture(t)
 	lines := loadLines(texts)
@@ -275,6 +319,23 @@ func TestLoadAllocBudgets(t *testing.T) {
 	t.Logf("LoadProfile: %.0f allocs per 522-preference text, budget %d", load, loadAllocBudget)
 	if load > loadAllocBudget {
 		t.Errorf("LoadProfile allocates %.0f per text, budget %d", load, loadAllocBudget)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, text := range texts {
+		sys, err := NewSystem(env, rel, WithQueryCache(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadProfile(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	loadBytes := (after.TotalAlloc - before.TotalAlloc) / uint64(len(texts))
+	t.Logf("LoadProfile: %d bytes allocated per 522-preference text, budget %d", loadBytes, loadBytesBudget)
+	if loadBytes > loadBytesBudget {
+		t.Errorf("LoadProfile allocates %d bytes per text, budget %d", loadBytes, loadBytesBudget)
 	}
 	env, rel, store := recoveryStore(t)
 	records := 0

@@ -7,8 +7,13 @@ package httpapi
 // fault lifts.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -197,5 +202,122 @@ func TestMaxBodyBytes(t *testing.T) {
 	resp, body = post(t, ts.URL+"/query", "application/json", `{"query":"`+strings.Repeat("x", 100)+`"}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized query = %d: %s", resp.StatusCode, body)
+	}
+
+	// Every way a POST or DELETE /preferences body can arrive: chunked
+	// with no Content-Length, a declared length over the cap, a body
+	// shorter than its declared length (the client closes its side
+	// early), and an empty body. Status and body are pinned byte for
+	// byte.
+	const (
+		park      = "[] => type = park : 0.4"
+		tooLarge  = `{"code":"too_large","error":"http: request body too large"}` + "\n"
+		shortBody = `{"code":"bad_request","error":"unexpected EOF"}` + "\n"
+	)
+	chunked := func(body string) string {
+		return fmt.Sprintf("Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(body), body)
+	}
+	sized := func(declared int, body string) string {
+		return fmt.Sprintf("Content-Length: %d\r\n\r\n%s", declared, body)
+	}
+	for _, c := range []struct {
+		name, method, request string
+		short                 bool // the body stops before its declared length
+		status                int
+		body                  string
+	}{
+		{"chunked POST", "POST", chunked(park), false, 200, `{"preferences":2}` + "\n"},
+		{"chunked oversized POST", "POST", chunked(big), false, 413, tooLarge},
+		{"declared oversized POST", "POST", sized(len(big), big), false, 413, tooLarge},
+		{"short POST", "POST", sized(len(park)+10, park), true, 400, shortBody},
+		{"short POST declared over the cap", "POST", sized(100, park), true, 400, shortBody},
+		{"empty POST", "POST", sized(0, ""), false, 200, `{"preferences":2}` + "\n"},
+		{"chunked DELETE", "DELETE", chunked(park), false, 200, `{"preferences":1,"removed":1}` + "\n"},
+		{"chunked oversized DELETE", "DELETE", chunked(big), false, 413, tooLarge},
+		{"declared oversized DELETE", "DELETE", sized(len(big), big), false, 413, tooLarge},
+		{"short DELETE", "DELETE", sized(len(small)+10, small), true, 400, shortBody},
+		{"short DELETE declared over the cap", "DELETE", sized(100, small), true, 400, shortBody},
+		{"empty DELETE", "DELETE", sized(0, ""), false, 200, `{"preferences":1,"removed":0}` + "\n"},
+	} {
+		status, body := rawRequest(t, ts.Listener.Addr().String(), c.method+" /preferences HTTP/1.1\r\nHost: x\r\n"+c.request, c.short)
+		if status != c.status || body != c.body {
+			t.Errorf("%s = %d %q, want %d %q", c.name, status, body, c.status, c.body)
+		}
+	}
+}
+
+// rawRequest writes one request, exactly as given, on a fresh
+// connection and returns the response's status and body. With
+// closeWrite it then closes the connection's write side, so a body
+// shorter than its declared length ends there. Only such a request
+// closes it: once the server has read a whole request, it takes the
+// client's end of input for a disconnect and cancels the request's
+// context, and the handler may answer 499 "canceled".
+func rawRequest(t *testing.T, addr, request string, closeWrite bool) (int, string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, request); err != nil {
+		t.Fatal(err)
+	}
+	if closeWrite {
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// stalledBody stands for a client that declared a length and then sent
+// nothing: its first read fails as a read timeout would. It records the
+// largest buffer a read was handed, which is the body buffer's free
+// space.
+type stalledBody struct{ largest int }
+
+func (b *stalledBody) Read(p []byte) (int, error) {
+	b.largest = max(b.largest, len(p))
+	return 0, errors.New("i/o timeout")
+}
+
+func (b *stalledBody) Close() error { return nil }
+
+// A declared Content-Length within the cap sizes the body buffer only
+// up to bodyPresize: a client that declares 1 MiB and stalls does not
+// pin 1 MiB.
+func TestStalledBodyPresize(t *testing.T) {
+	env, err := dataset.RealEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := dataset.POIs(env, 60, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := defaultUserServer(t, env, rel, nil, "")
+	for _, method := range []string{"POST", "DELETE"} {
+		body := &stalledBody{}
+		req := httptest.NewRequest(method, "/preferences", body)
+		req.ContentLength = 1 << 20
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s stalled body = %d: %s", method, rec.Code, rec.Body)
+		}
+		// The buffer is rounded up to the allocator's size class.
+		if body.largest == 0 || body.largest > 2*bodyPresize {
+			t.Errorf("%s stalled body: first read handed %d bytes, want at most %d", method, body.largest, 2*bodyPresize)
+		}
 	}
 }

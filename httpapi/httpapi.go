@@ -95,6 +95,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -639,6 +640,28 @@ func mutationError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad_request", err)
 }
 
+// bodyPresize bounds how much of a declared Content-Length readBody
+// allocates before the bytes arrive. A 522-preference upload is about
+// 49 KB, so one allocation holds it; a larger body grows as it is read,
+// and a client that declares a length and stalls pins no more than this.
+const bodyPresize = 64 << 10
+
+// readBody reads a request body through the body cap's MaxBytesReader
+// and converts it to a string once. A declared Content-Length within
+// the cap sizes the buffer, up to bodyPresize, with the free
+// bytes.MinRead the read that meets the end needs, so a usual upload is
+// read into one allocation instead of a buffer regrown step by step.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (string, error) {
+	var b bytes.Buffer
+	if n := r.ContentLength; n >= 0 && n <= s.maxBody {
+		b.Grow(int(min(n, bodyPresize)) + bytes.MinRead)
+	}
+	if _, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
 // bodyError classifies a request-body read failure: the MaxBytesReader
 // cap is the client's oversized payload (413), anything else is a bad
 // request.
@@ -715,7 +738,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		mutationError(w, err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -727,7 +750,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		s.writeCtxError(w, err)
 		return
 	}
-	if err := sys.LoadProfileCtx(r.Context(), string(body)); err != nil {
+	if err := sys.LoadProfileCtx(r.Context(), body); err != nil {
 		mutationError(w, err)
 		return
 	}
@@ -743,7 +766,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 // (a degraded shard, a failed append) leaves the lines before it
 // removed. The body is not one atomic unit.
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -755,7 +778,7 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ps []contextpref.Preference
-	for _, line := range strings.Split(string(body), "\n") {
+	for _, line := range strings.Split(body, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue

@@ -117,6 +117,18 @@ func (h *Hierarchy) SpanOf(v string) (Span, bool) {
 	return sp, ok
 }
 
+// Canonical returns the hierarchy's own copy of the value, equal to v,
+// and its span. A caller that keeps the copy instead of v, as a profile
+// tree does for its cell keys, keeps no reference to the text v was
+// cut from.
+func (h *Hierarchy) Canonical(v string) (string, Span, bool) {
+	sp, ok := h.spans[v]
+	if !ok {
+		return "", Span{}, false
+	}
+	return h.valuesAt[sp.Level][h.rank[v]], sp, true
+}
+
 // ValuesAt returns the domain of the level with index i, in the total
 // order of the level.
 func (h *Hierarchy) ValuesAt(i int) []string {

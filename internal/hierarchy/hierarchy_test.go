@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // locationHierarchy builds the paper's Fig. 1 location hierarchy:
@@ -246,6 +247,26 @@ func TestExtendedDomain(t *testing.T) {
 	}
 	if h.Contains("Atlantis") {
 		t.Error("Contains(Atlantis) = true")
+	}
+}
+
+func TestCanonical(t *testing.T) {
+	h := locationHierarchy(t)
+	for _, v := range h.ExtendedDomain() {
+		// A value cut from a longer text: Canonical must hand back the
+		// hierarchy's copy, not a substring of the caller's text.
+		text := "(" + v + ")"
+		got, sp, ok := h.Canonical(text[1 : len(text)-1])
+		want, _ := h.SpanOf(v)
+		if !ok || got != v || sp != want {
+			t.Errorf("Canonical(%q) = %q, %+v, %v; want %q, %+v, true", v, got, sp, ok, v, want)
+		}
+		if unsafe.StringData(got) != unsafe.StringData(v) {
+			t.Errorf("Canonical(%q) is not the hierarchy's own copy", v)
+		}
+	}
+	if got, sp, ok := h.Canonical("Atlantis"); ok || got != "" || sp != (Span{}) {
+		t.Errorf("Canonical(Atlantis) = %q, %+v, %v", got, sp, ok)
 	}
 }
 

@@ -315,8 +315,15 @@ func ParseProfile(e *ctxmodel.Environment, text string) (*Profile, error) {
 // syntax alone: neither the descriptors against an environment nor the
 // preferences against each other. A caller that checks the whole batch
 // itself, as the profile tree's Check does, parses with it.
+//
+// The result is sized once, from two bounds on the number of
+// preferences the text can hold: each preference line starts with '[',
+// and takes at least len(shortestLine) bytes with its newline. Blank
+// lines and comments without '[' size nothing, and no text sizes more
+// than a text of valid preferences of its length would need.
 func ParseLines(text string) ([]Preference, error) {
-	var ps []Preference
+	const shortestLine = "[]=>a=1:1\n"
+	ps := make([]Preference, 0, min(strings.Count(text, "["), (len(text)+1)/len(shortestLine)))
 	for ln, rest, more := 1, text, true; more; ln++ {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")

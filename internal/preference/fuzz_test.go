@@ -1,6 +1,7 @@
 package preference
 
 import (
+	"strings"
 	"testing"
 
 	"contextpref/internal/ctxmodel"
@@ -31,6 +32,11 @@ func FuzzParseLine(f *testing.F) {
 		p, err := ParseLine(line)
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		// ParseLines sizes its result on two facts about a line that
+		// parses: it starts with '[' and is no shorter than "[]=>a=1:1".
+		if trimmed := strings.TrimSpace(line); trimmed[0] != '[' || len(trimmed) < len("[]=>a=1:1") {
+			t.Fatalf("ParseLine(%q) parsed a line ParseLines does not size for", line)
 		}
 		// Round-trip: Format must produce a parseable line with the
 		// same clause and score.

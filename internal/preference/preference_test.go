@@ -3,8 +3,10 @@ package preference
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"contextpref/internal/ctxmodel"
 	"contextpref/internal/relation"
@@ -351,6 +353,46 @@ func TestFormatParseProfile(t *testing.T) {
 	// Unknown context values are rejected on Add.
 	if _, err := ParseProfile(e, "[location = Atlantis] => name = x : 0.5"); err == nil {
 		t.Error("unknown value should fail")
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// ParseLines sizes its result once, and the sizing grows with the
+// preferences a text can hold, not with its lines: a body of blank or
+// comment lines sizes nothing, and a body of short lines that fail to
+// parse sizes no more than valid preferences of its length would need.
+func TestParseLinesSizing(t *testing.T) {
+	if _, err := ParseLine("[]=>a=1:1"); err != nil {
+		t.Fatalf("the shortest preference line does not parse: %v", err)
+	}
+	text := "# a comment\n\n" + Format(pref1()) + "\n\n" + Format(pref2()) + "\n[]=>a=1:1"
+	ps, err := ParseLines(text)
+	if err != nil || len(ps) != 3 || cap(ps) != 3 {
+		t.Errorf("ParseLines = len %d cap %d, %v; want len 3 cap 3", len(ps), cap(ps), err)
+	}
+
+	const body = 1 << 20
+	for _, blank := range []string{strings.Repeat("\n", body), strings.Repeat("  # note\n", body/9)} {
+		var ps []Preference
+		var err error
+		if n := allocated(func() { ps, err = ParseLines(blank) }); err != nil || len(ps) != 0 || n > 1024 {
+			t.Errorf("ParseLines of %d blank and comment bytes: %d preferences, %d bytes allocated, %v", len(blank), len(ps), n, err)
+		}
+	}
+	garbage := strings.Repeat("[\n", body/2)
+	// Allow for the allocator rounding the result up to whole pages, and
+	// for the error.
+	limit := uint64(body/10)*uint64(unsafe.Sizeof(Preference{})) + 64<<10
+	if n := allocated(func() { _, err = ParseLines(garbage) }); err == nil || n > limit {
+		t.Errorf("ParseLines of %d bytes of '[' lines allocated %d bytes (limit %d), %v", len(garbage), n, limit, err)
 	}
 }
 

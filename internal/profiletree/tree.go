@@ -9,8 +9,10 @@
 // level, so its height is n+1. Every non-leaf node holds cells
 // [key, pointer] with key ∈ edom(Ck) ∪ {all} for the parameter Ck
 // assigned to that level; no two cells of a node share a key. A leaf
-// node stores the attribute clauses and interest scores of the
-// preferences whose descriptors produced the root-to-leaf path.
+// stores the attribute clauses and interest scores of the preferences
+// whose descriptors produced the root-to-leaf path. In memory a leaf is
+// not a node of its own: a cell of the last level holds its leaf's
+// entries in place of the pointer.
 //
 // Cost accounting. NumCells, Bytes and the access counters returned by
 // the search methods implement the paper's cost model: one "cell" is
@@ -27,11 +29,13 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"contextpref/internal/ctxmodel"
 	"contextpref/internal/distance"
 	"contextpref/internal/hierarchy"
 	"contextpref/internal/preference"
+	"contextpref/internal/relation"
 	"contextpref/internal/telemetry"
 	"contextpref/internal/tracing"
 )
@@ -55,7 +59,8 @@ func canceled(err error) error {
 	return fmt.Errorf("profiletree: search stopped: %w", err)
 }
 
-// Leaf is one [attribute clause, interest score] entry of a leaf node.
+// Leaf is one [attribute clause, interest score] entry of a leaf, which
+// the last-level cell of its path holds.
 type Leaf struct {
 	// Clause is the preference's attribute clause.
 	Clause preference.Clause
@@ -63,44 +68,79 @@ type Leaf struct {
 	Score float64
 }
 
-// node is either an internal node (keys/spans/children, parallel slices
-// in insertion order) or a leaf node (entries). spans[i] is the
-// interval encoding of keys[i], recorded when the cell is created, so
-// Search_CS tests a cell for cover with integer compares alone.
+// node is an internal node: its cells, in insertion order.
 type node struct {
-	keys     []string
-	spans    []hierarchy.Span
-	children []*node
-	entries  []Leaf
+	cells []cell
 }
 
-// find linearly scans the node's cells for a key, returning the child
-// and the number of cells examined.
-func (nd *node) find(key string) (*node, int) {
-	for i, k := range nd.keys {
-		if k == key {
-			return nd.children[i], i + 1
+// cell is one [key, pointer] cell of a node. key is the hierarchy's own
+// copy of the value (hierarchy.Canonical) and span its interval
+// encoding, both recorded when the cell is created, so Search_CS tests
+// a cell for cover with integer compares alone. A cell of the last
+// level holds the entries of the leaf its path ends at, and has no
+// child; every other cell has a child and no entries.
+//
+// A *cell points into its node's cells, so it is valid only until that
+// node's next mutation: appending or deleting a cell may move them.
+type cell struct {
+	key     string
+	span    hierarchy.Span
+	child   *node
+	entries []Leaf
+}
+
+// find linearly scans the node's cells for a key, returning the cell
+// (nil if absent) and the number of cells examined.
+func (nd *node) find(key string) (*cell, int) {
+	for i := range nd.cells {
+		if nd.cells[i].key == key {
+			return &nd.cells[i], i + 1
 		}
 	}
-	return nil, len(nd.keys)
+	return nil, len(nd.cells)
 }
 
-// child returns the child for key, a value of h, creating it if
-// absent; created reports whether a new cell was added.
-func (nd *node) child(key string, h *hierarchy.Hierarchy) (c *node, created bool) {
+// cell returns the cell for key, a value of h, appending it if absent,
+// with an empty child unless it is a last-level cell; created reports
+// whether a new cell was added.
+func (nd *node) cell(key string, h *hierarchy.Hierarchy, last bool) (c *cell, created bool) {
 	if c, _ := nd.find(key); c != nil {
 		return c, false
 	}
-	sp, _ := h.SpanOf(key)
-	c = &node{}
-	nd.keys = append(nd.keys, key)
-	nd.spans = append(nd.spans, sp)
-	nd.children = append(nd.children, c)
+	own, sp, _ := h.Canonical(key)
+	nd.cells = append(nd.cells, cell{key: own, span: sp})
+	c = &nd.cells[len(nd.cells)-1]
+	if !last {
+		c.child = &node{}
+	}
 	return c, true
+}
+
+// ownLeaf returns p's leaf entry with the clause's attribute and string
+// value copied into one allocation, so the entry keeps no reference to
+// the text p was parsed from.
+func ownLeaf(p preference.Preference) Leaf {
+	c := p.Clause
+	val := c.Val.Str() // empty for every kind but a string
+	var b strings.Builder
+	b.Grow(len(c.Attr) + len(val))
+	b.WriteString(c.Attr)
+	b.WriteString(val)
+	text := b.String()
+	c.Attr = text[:len(c.Attr)]
+	if c.Val.Kind() == relation.KindString {
+		c.Val = relation.S(text[len(c.Attr):])
+	}
+	return Leaf{Clause: c, Score: p.Score}
 }
 
 // Tree is a profile tree over a context environment. The zero Tree is
 // not usable; construct with New.
+//
+// A tree keeps no reference to a string its caller passed in: a cell
+// key is its hierarchy's own copy of the value, and a stored entry
+// copies its clause's strings. So a profile parsed from a request body
+// does not keep the body alive once it is stored.
 type Tree struct {
 	env   *ctxmodel.Environment
 	order []int // order[level] = environment index of the parameter at that tree level
@@ -273,12 +313,15 @@ func (t *Tree) BytesModel(pointerBytes int) int {
 	total := 0
 	var walk func(nd *node)
 	walk = func(nd *node) {
-		for i, k := range nd.keys {
-			total += len(k) + pointerBytes
-			walk(nd.children[i])
-		}
-		for _, e := range nd.entries {
-			total += leafEntryBytes(e)
+		for i := range nd.cells {
+			c := &nd.cells[i]
+			total += len(c.key) + pointerBytes
+			for _, e := range c.entries {
+				total += leafEntryBytes(e)
+			}
+			if c.child != nil {
+				walk(c.child)
+			}
 		}
 	}
 	walk(t.root)
@@ -309,19 +352,35 @@ type Batch struct {
 	expanded [][]ctxmodel.State
 }
 
-// pairKey identifies one (state, clause) pair. The clause is compared
-// by value, which is exactly Clause.Equal, so the batch check and the
-// stored-entry check agree on when two clauses are the same.
+// pairKey identifies one (state, clause) pair of a batch: the state's
+// Key() and the batch's ID for the clause.
 type pairKey struct {
-	state  string // the state's Key()
-	clause preference.Clause
+	state  string
+	clause int
 }
 
 // batchIndex maps each (state, clause) pair that the batch members
-// checked so far store to the first member storing it.
+// checked so far store to the first member storing it. A clause's ID
+// is its position among the batch's distinct clauses. The clauses map
+// compares them by value, which is exactly Clause.Equal, so the batch
+// check and the stored-entry check agree on when two clauses are the
+// same.
 type batchIndex struct {
 	members []preference.Preference
+	clauses map[preference.Clause]int
 	first   map[pairKey]int
+}
+
+// clauseID returns the ID of a batch member's clause, assigning the
+// next one to a clause the batch has not shown before. A NaN value
+// equals nothing, so each of its occurrences gets an ID of its own.
+func (bi *batchIndex) clauseID(c preference.Clause) int {
+	id, ok := bi.clauses[c]
+	if !ok {
+		id = len(bi.clauses)
+		bi.clauses[c] = id
+	}
+	return id
 }
 
 // checkInsert validates p, member i of a batch, without mutating the
@@ -337,9 +396,13 @@ func (t *Tree) checkInsert(p preference.Preference, i int, bi *batchIndex) ([]ct
 	if err != nil {
 		return nil, err
 	}
+	clause := 0
+	if bi != nil {
+		clause = bi.clauseID(p.Clause)
+	}
 	for _, s := range states {
-		if leafNode, _ := t.descendExact(s); leafNode != nil {
-			for _, e := range leafNode.entries {
+		if c, _ := t.descendExact(s); c != nil {
+			for _, e := range c.entries {
 				if e.Clause.Equal(p.Clause) && e.Score != p.Score {
 					return nil, &preference.ConflictError{
 						New:      p,
@@ -352,7 +415,7 @@ func (t *Tree) checkInsert(p preference.Preference, i int, bi *batchIndex) ([]ct
 		if bi == nil {
 			continue
 		}
-		k := pairKey{state: s.Key(), clause: p.Clause}
+		k := pairKey{state: s.Key(), clause: clause}
 		if j, ok := bi.first[k]; !ok {
 			bi.first[k] = i
 		} else if q := bi.members[j]; q.Score != p.Score {
@@ -371,7 +434,7 @@ func (t *Tree) checkInsert(p preference.Preference, i int, bi *batchIndex) ([]ct
 func (t *Tree) Check(ps ...preference.Preference) (Batch, error) {
 	var bi *batchIndex
 	if len(ps) > 1 {
-		bi = &batchIndex{members: ps, first: make(map[pairKey]int, len(ps))}
+		bi = &batchIndex{members: ps, clauses: map[preference.Clause]int{}, first: make(map[pairKey]int, len(ps))}
 	}
 	expanded := make([][]ctxmodel.State, len(ps))
 	for i, p := range ps {
@@ -424,29 +487,34 @@ func (t *Tree) InsertAll(ps ...preference.Preference) error {
 // applyInsert inserts the preference's entry under each of its states
 // (the descriptor's expansion, as checkInsert returned it) with
 // incremental counter maintenance. It must only run after checkInsert
-// passed on the tree as it is.
+// passed on the tree as it is. The states that store the entry share
+// one owned copy of it.
 func (t *Tree) applyInsert(p preference.Preference, states []ctxmodel.State) {
+	last := len(t.order) - 1
+	leaf := ownLeaf(p)
 	for _, s := range states {
 		nd := t.root
-		for _, param := range t.order {
+		var c *cell
+		for level, param := range t.order {
 			var created bool
-			nd, created = nd.child(s[param], t.env.Param(param).Hierarchy())
+			c, created = nd.cell(s[param], t.env.Param(param).Hierarchy(), level == last)
 			if created {
 				t.numInternalCells++
 			}
+			nd = c.child
 		}
 		dup := false
-		for _, e := range nd.entries {
+		for _, e := range c.entries {
 			if e.Clause.Equal(p.Clause) && e.Score == p.Score {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			if len(nd.entries) == 0 {
+			if len(c.entries) == 0 {
 				t.numPaths++
 			}
-			nd.entries = append(nd.entries, Leaf{Clause: p.Clause, Score: p.Score})
+			c.entries = append(c.entries, leaf)
 			t.numLeafEntries++
 		}
 	}
@@ -486,40 +554,33 @@ func (t *Tree) Delete(p preference.Preference) (int, error) {
 	return removed, nil
 }
 
-// deletePath removes the entry along the state's path, pruning empty
-// nodes bottom-up; it reports whether an entry was removed.
+// deletePath removes the entry along the state's path, pruning emptied
+// cells bottom-up; it reports whether an entry was removed.
 func (t *Tree) deletePath(nd *node, s ctxmodel.State, level int, p preference.Preference) bool {
-	if level == len(t.order) {
-		for i, e := range nd.entries {
-			if e.Clause.Equal(p.Clause) && e.Score == p.Score {
-				nd.entries = append(nd.entries[:i], nd.entries[i+1:]...)
-				t.numLeafEntries--
-				if len(nd.entries) == 0 {
-					t.numPaths--
-				}
-				return true
-			}
-		}
+	c, scanned := nd.find(s[t.order[level]])
+	if c == nil {
 		return false
 	}
-	for i, key := range nd.keys {
-		if key != s[t.order[level]] {
-			continue
-		}
-		child := nd.children[i]
-		if !t.deletePath(child, s, level+1, p) {
+	if c.child == nil {
+		i := slices.IndexFunc(c.entries, func(e Leaf) bool { return e.Clause.Equal(p.Clause) && e.Score == p.Score })
+		if i < 0 {
 			return false
 		}
-		// Prune the cell if the child holds nothing anymore.
-		if len(child.keys) == 0 && len(child.entries) == 0 {
-			nd.keys = slices.Delete(nd.keys, i, i+1)
-			nd.spans = slices.Delete(nd.spans, i, i+1)
-			nd.children = slices.Delete(nd.children, i, i+1)
-			t.numInternalCells--
+		c.entries = slices.Delete(c.entries, i, i+1)
+		t.numLeafEntries--
+		if len(c.entries) == 0 {
+			t.numPaths--
 		}
-		return true
+	} else if !t.deletePath(c.child, s, level+1, p) {
+		return false
 	}
-	return false
+	// Prune the cell if it holds nothing anymore: no entries, or a child
+	// without cells.
+	if len(c.entries) == 0 && (c.child == nil || len(c.child.cells) == 0) {
+		nd.cells = slices.Delete(nd.cells, scanned-1, scanned) // the found cell is the last one scanned
+		t.numInternalCells--
+	}
+	return true
 }
 
 // InsertProfile inserts every preference of the profile atomically: on
@@ -528,20 +589,23 @@ func (t *Tree) InsertProfile(pr *preference.Profile) error {
 	return t.InsertAll(pr.Preferences()...)
 }
 
-// descendExact follows the exact path for a state, returning the leaf
-// node (nil if the path is absent) and the number of cells accessed.
-func (t *Tree) descendExact(s ctxmodel.State) (*node, int) {
+// descendExact follows the exact path for a state, returning its
+// last-level cell, which holds the leaf's entries (nil if the path is
+// absent), and the number of cells accessed.
+func (t *Tree) descendExact(s ctxmodel.State) (*cell, int) {
 	nd := t.root
+	var c *cell
 	accesses := 0
 	for _, param := range t.order {
-		child, scanned := nd.find(s[param])
+		var scanned int
+		c, scanned = nd.find(s[param])
 		accesses += scanned
-		if child == nil {
+		if c == nil {
 			return nil, accesses
 		}
-		nd = child
+		nd = c.child
 	}
-	return nd, accesses
+	return c, accesses
 }
 
 // SearchExact looks up the exact context state (the first case of the
@@ -552,11 +616,11 @@ func (t *Tree) SearchExact(s ctxmodel.State) ([]Leaf, int, error) {
 	if err := t.env.Validate(s); err != nil {
 		return nil, 0, err
 	}
-	nd, accesses := t.descendExact(s)
-	if nd == nil {
+	c, accesses := t.descendExact(s)
+	if c == nil {
 		return nil, accesses, nil
 	}
-	return append([]Leaf(nil), nd.entries...), accesses, nil
+	return append([]Leaf(nil), c.entries...), accesses, nil
 }
 
 // Candidate is one root-to-leaf path found by Search_CS whose context
@@ -621,12 +685,12 @@ type coverWalk struct {
 	accesses int
 	found    int         // covering leaves reached
 	all      []Candidate // keepAll
-	// best, bestLeaf, bestDist and bestSpec describe the least leaf
+	// best, bestEntries, bestDist and bestSpec describe the least leaf
 	// so far (keepBest, keepBestPruned).
-	best     ctxmodel.State
-	bestLeaf *node
-	bestDist float64
-	bestSpec int
+	best        ctxmodel.State
+	bestEntries []Leaf
+	bestDist    float64
+	bestSpec    int
 }
 
 // search runs one Search_CS walk for the validated state s. The walk's
@@ -647,7 +711,8 @@ func (t *Tree) search(ctx context.Context, s ctxmodel.State, m distance.Metric, 
 	return w, err
 }
 
-// walk implements Algorithm 1 below nd. At each level it follows both
+// walk implements Algorithm 1 below nd, a node of the given level. At
+// each level it follows both
 // the cell that exactly matches the searched value and every cell
 // holding an ancestor of it (including "all"); a cell covers the value
 // when its interval encoding contains the value's (target, in
@@ -657,52 +722,60 @@ func (t *Tree) search(ctx context.Context, s ctxmodel.State, m distance.Metric, 
 // a leaf, and matches the paper's own cost analysis which charges for
 // all "cells that have relevant values from the upper levels". dist
 // and spec are the accumulated distance and specificity of the path so
-// far, and cur holds its keys in environment order.
+// far, and cur holds its keys in environment order. A covering cell of
+// the last level is the leaf it holds.
 //
 //cpvet:scanloop
 func (w *coverWalk) walk(nd *node, level int, dist float64, spec int, cur ctxmodel.State, target []hierarchy.Span) error {
-	// Strict inequality: equal-distance paths are still explored so the
-	// key tie-break agrees with Best(SearchCover(...)).
-	if w.sink == keepBestPruned && w.found > 0 && dist > w.bestDist {
-		return nil
-	}
-	if level == len(w.t.order) {
-		if len(nd.entries) > 0 {
-			w.keep(nd, dist, spec, cur)
-		}
+	if w.pruned(dist) {
 		return nil
 	}
 	param := w.t.order[level]
 	want := target[param]
-	for i, sp := range nd.spans {
+	for i := range nd.cells {
+		c := &nd.cells[i]
 		w.accesses++
 		if w.accesses&(cancelCheckEvery-1) == 0 {
 			if err := w.ctx.Err(); err != nil {
 				return canceled(err)
 			}
 		}
-		if !sp.Covers(want) {
+		if !c.span.Covers(want) {
 			continue
 		}
-		d, err := w.m.ValueDistance(w.t.env, param, nd.keys[i], w.s[param])
+		d, err := w.m.ValueDistance(w.t.env, param, c.key, w.s[param])
 		if err != nil {
 			return err
 		}
-		cur[param] = nd.keys[i]
-		if err := w.walk(nd.children[i], level+1, dist+d, spec*sp.Len(), cur, target); err != nil {
+		cur[param] = c.key
+		if c.child == nil {
+			if len(c.entries) > 0 && !w.pruned(dist+d) {
+				w.keep(c.entries, dist+d, spec*c.span.Len(), cur)
+			}
+			continue
+		}
+		if err := w.walk(c.child, level+1, dist+d, spec*c.span.Len(), cur, target); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// pruned reports whether a branch-and-bound walk abandons a path whose
+// accumulated distance is dist. The inequality is strict: equal-distance
+// paths are still explored so the key tie-break agrees with
+// Best(SearchCover(...)).
+func (w *coverWalk) pruned(dist float64) bool {
+	return w.sink == keepBestPruned && w.found > 0 && dist > w.bestDist
+}
+
 // keep hands one covering leaf, whose state is cur, to the sink.
-func (w *coverWalk) keep(nd *node, dist float64, spec int, cur ctxmodel.State) {
+func (w *coverWalk) keep(entries []Leaf, dist float64, spec int, cur ctxmodel.State) {
 	w.found++
 	if w.sink == keepAll {
 		w.all = append(w.all, Candidate{
 			State:       cur.Clone(),
-			Entries:     slices.Clone(nd.entries),
+			Entries:     slices.Clone(entries),
 			Distance:    dist,
 			Specificity: spec,
 		})
@@ -715,7 +788,7 @@ func (w *coverWalk) keep(nd *node, dist float64, spec int, cur ctxmodel.State) {
 		w.best = make(ctxmodel.State, len(cur))
 	}
 	copy(w.best, cur)
-	w.bestLeaf, w.bestDist, w.bestSpec = nd, dist, spec
+	w.bestEntries, w.bestDist, w.bestSpec = entries, dist, spec
 }
 
 // bestCandidate materializes the least covering leaf of a keepBest walk.
@@ -725,7 +798,7 @@ func (w *coverWalk) bestCandidate() (Candidate, bool) {
 	}
 	return Candidate{
 		State:       w.best,
-		Entries:     slices.Clone(w.bestLeaf.entries),
+		Entries:     slices.Clone(w.bestEntries),
 		Distance:    w.bestDist,
 		Specificity: w.bestSpec,
 	}, true
@@ -836,13 +909,13 @@ func (t *Tree) ResolveCtx(ctx context.Context, s ctxmodel.State, m distance.Metr
 		sp.Fail(err)
 		return Candidate{}, 0, false, err
 	}
-	nd, accesses := t.descendExact(s)
-	if nd != nil && len(nd.entries) > 0 {
+	c, accesses := t.descendExact(s)
+	if c != nil && len(c.entries) > 0 {
 		t.metrics.observe(accesses, 1, true)
 		sp.SetInt("cells", int64(accesses))
 		sp.SetBool("exact", true)
 		sp.SetBool("hit", true)
-		return Candidate{State: s.Clone(), Entries: slices.Clone(nd.entries), Distance: 0}, accesses, true, nil
+		return Candidate{State: s.Clone(), Entries: slices.Clone(c.entries), Distance: 0}, accesses, true, nil
 	}
 	w, err := t.search(ctx, s, m, keepBest)
 	accesses += w.accesses
@@ -909,15 +982,14 @@ func (t *Tree) Paths() []Candidate {
 	cur := make(ctxmodel.State, len(t.order))
 	var rec func(nd *node, level int)
 	rec = func(nd *node, level int) {
-		if level == len(t.order) {
-			if len(nd.entries) > 0 {
-				out = append(out, Candidate{State: cur.Clone(), Entries: slices.Clone(nd.entries)})
+		for i := range nd.cells {
+			c := &nd.cells[i]
+			cur[t.order[level]] = c.key
+			if c.child != nil {
+				rec(c.child, level+1)
+			} else if len(c.entries) > 0 {
+				out = append(out, Candidate{State: cur.Clone(), Entries: slices.Clone(c.entries)})
 			}
-			return
-		}
-		for i, key := range nd.keys {
-			cur[t.order[level]] = key
-			rec(nd.children[i], level+1)
 		}
 	}
 	rec(t.root, 0)
