@@ -25,7 +25,7 @@ bench:
 # Tier-1 benchmarks as machine-readable JSON, for diffing in CI.
 # Parameterized by PR so each PR's numbers land in their own file
 # instead of silently overwriting the previous baseline.
-BENCH_PR ?= PR25
+BENCH_PR ?= PR26
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 # The newest committed BENCH file by PR number, and the newest other
 # than BENCH_OUT. The paper's own counts (every metric of the Table 1,
@@ -63,7 +63,8 @@ experiments:
 examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
-# Short fuzzing sessions over the text parsers and journal recovery.
+# Short fuzzing sessions over the text parsers, journal recovery, the
+# query tree against its model and the query-string lookup.
 fuzz:
 	$(GO) test -fuzz='FuzzParseLine$$' -fuzztime=30s ./internal/preference/
 	$(GO) test -fuzz=FuzzParseLineMatchesReference -fuzztime=30s ./internal/preference/
@@ -72,10 +73,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzJournalScanMatchesReference -fuzztime=30s ./internal/journal/
 	$(GO) test -fuzz='FuzzReplicationFrame$$' -fuzztime=30s ./internal/replication/
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=30s ./internal/tracing/
+	$(GO) test -fuzz=FuzzCacheMatchesModel -fuzztime=30s ./internal/querytree/
+	$(GO) test -fuzz=FuzzQueryValueMatchesParseQuery -fuzztime=30s ./httpapi/
 
 # Quick fuzz smoke of the query and line parsers (the line parser also
-# against its reference) and journal recovery (the scan also against
-# its reference), cheap enough for CI.
+# against its reference), journal recovery (the scan also against its
+# reference), the query tree against its model and the query-string
+# lookup against url.ParseQuery, cheap enough for CI.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/cpql/
 	$(GO) test -fuzz='FuzzParseLine$$' -fuzztime=5s ./internal/preference/
@@ -84,6 +88,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzJournalScanMatchesReference -fuzztime=5s ./internal/journal/
 	$(GO) test -fuzz='FuzzReplicationFrame$$' -fuzztime=5s ./internal/replication/
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=5s ./internal/tracing/
+	$(GO) test -fuzz=FuzzCacheMatchesModel -fuzztime=5s ./internal/querytree/
+	$(GO) test -fuzz=FuzzQueryValueMatchesParseQuery -fuzztime=5s ./httpapi/
 
 # The pre-merge gate: static checks, the race detector, and a fuzz smoke.
 verify: vet lint race fuzz-smoke

@@ -35,6 +35,7 @@ func TestHotpathAllocBudgets(t *testing.T) {
 	measurements := map[string]func(t *testing.T) float64{
 		"internal/profiletree.(*Tree).ResolveCtx": measureResolve,
 		"internal/querytree.(*Cache).Get":         measureCacheGet,
+		"internal/querytree.(*Cache).GetTop":      measureCacheGetTop,
 		"internal/telemetry.(*Histogram).Observe": measureObserve,
 		"internal/tracing.Start":                  measureTracingStartDisabled,
 	}
@@ -121,6 +122,53 @@ func measureCacheGet(t *testing.T) float64 {
 		q := qs[i%len(qs)]
 		i++
 		if _, _, _, err := cache.Get(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// measureCacheGetTop prices the lookup a cached engine's hit runs: a
+// top-10 cut of real rankings over 500 POIs, hits and misses alike,
+// once each cached state's first hit has built its prefix.
+func measureCacheGetTop(t *testing.T) float64 {
+	const seed = 2007
+	env, prefs, err := dataset.RealProfile(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := dataset.POIs(env, 500, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(env, rel, WithQueryCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddPreferences(prefs...); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := dataset.QueriesFromPrefs(env, prefs, 64, seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs[:len(qs)/2] {
+		if _, _, err := sys.QueryCached(Query{TopK: 10}, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range qs {
+		if _, _, _, err := sys.cache.GetTop(q, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sys.CacheStats().Hits == 0 {
+		t.Fatal("no lookup hit the cache; the measurement would price misses alone")
+	}
+	i := 0
+	return testing.AllocsPerRun(200, func() {
+		q := qs[i%len(qs)]
+		i++
+		if _, _, _, err := sys.cache.GetTop(q, 10); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -18,21 +18,21 @@ import (
 	"contextpref/internal/dataset"
 )
 
-func benchServer(b *testing.B, opts ...httpapi.ServerOption) *httpapi.Server {
-	b.Helper()
+func benchServer(tb testing.TB, opts ...httpapi.ServerOption) *httpapi.Server {
+	tb.Helper()
 	env, err := dataset.RealEnvironment()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rel, err := dataset.POIs(env, 120, 7)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	profile := ""
 	for r := 1; r <= 20; r++ {
 		profile += fmt.Sprintf("[location = ath_r%02d] => type = museum : 0.5\n", r)
 	}
-	return defaultUserServer(b, env, rel, nil, profile, opts...)
+	return defaultUserServer(tb, env, rel, nil, profile, opts...)
 }
 
 // defaultUserServer serves a one-shard directory whose user "default"
@@ -57,6 +57,32 @@ func defaultUserServer(tb testing.TB, env *contextpref.Environment, rel *context
 		tb.Fatal(err)
 	}
 	return srv
+}
+
+// resolveAllocBudget caps the allocations of one GET /resolve through
+// the bare server, httptest's recorder included: the query string is
+// read in place, never parsed into a url.Values.
+const resolveAllocBudget = 30
+
+// TestResolveAllocBudget pins BenchmarkResolveHTTPMiddleware/bare's
+// allocations per request with testing.AllocsPerRun.
+func TestResolveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random; the budget is the production figure")
+	}
+	srv := benchServer(t)
+	req := httptest.NewRequest("GET", "/resolve?state=friends,t03,ath_r01", nil)
+	allocs := testing.AllocsPerRun(200, func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			t.Fatalf("status = %d body %s", rec.Code, rec.Body.String())
+		}
+	})
+	t.Logf("GET /resolve: %.0f allocs per request, budget %d", allocs, resolveAllocBudget)
+	if allocs > resolveAllocBudget {
+		t.Errorf("GET /resolve allocates %.0f times per request, budget %d", allocs, resolveAllocBudget)
+	}
 }
 
 func benchResolve(b *testing.B, srv *httpapi.Server) {

@@ -104,6 +104,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -271,10 +272,34 @@ func (s *Server) routes() {
 // gate and the rate limiter all ask here, so a malformed query cannot
 // be served as one user and charged to another.
 func userOf(r *http.Request) string {
-	if user := r.URL.Query().Get("user"); user != "" {
+	if user := queryValue(r.URL.RawQuery, "user"); user != "" {
 		return user
 	}
 	return "default"
+}
+
+// queryValue returns the first value of key in a raw query string, as
+// url.ParseQuery(raw).Get(key) would, without building a url.Values:
+// pairs split on '&', a pair containing ';' is skipped, key and value
+// are unescaped with url.QueryUnescape, and a pair either of them fails
+// to unescape in is skipped. A pair with no escapes allocates nothing.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil || k != key {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // system picks the target system for a request. First contact with an
@@ -1011,7 +1036,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		mutationError(w, err)
 		return
 	}
-	raw := r.URL.Query().Get("state")
+	raw := queryValue(r.URL.RawQuery, "state")
 	if raw == "" {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("httpapi: missing state parameter"))
 		return

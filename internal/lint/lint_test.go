@@ -176,6 +176,7 @@ func TestHotpathInventory(t *testing.T) {
 	want := []string{
 		"internal/profiletree.(*Tree).ResolveCtx",
 		"internal/querytree.(*Cache).Get",
+		"internal/querytree.(*Cache).GetTop",
 		"internal/telemetry.(*Histogram).Observe",
 		"internal/tracing.Start",
 	}

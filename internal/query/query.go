@@ -148,8 +148,23 @@ func (en *Engine) Execute(cq Contextual, current ctxmodel.State) (*Result, error
 // returned error wraps ctx.Err() and is errors.Is-matchable against
 // context.Canceled and context.DeadlineExceeded.
 func (en *Engine) ExecuteCtx(ctx context.Context, cq Contextual, current ctxmodel.State) (*Result, error) {
+	return en.execute(ctx, cq, current, false)
+}
+
+// ExecuteFullCtx is ExecuteCtx for a caller that caches contextual
+// answers, as the context query tree does: a contextual answer is
+// ranked in full whatever cq.TopK, so one answer serves every k, while
+// the non-contextual fallback, which is never cached, still stops at
+// cq.TopK.
+func (en *Engine) ExecuteFullCtx(ctx context.Context, cq Contextual, current ctxmodel.State) (*Result, error) {
+	return en.execute(ctx, cq, current, true)
+}
+
+// execute runs executeCtx inside the query.execute span, which it
+// annotates with the result on the way out.
+func (en *Engine) execute(ctx context.Context, cq Contextual, current ctxmodel.State, rankAll bool) (*Result, error) {
 	ctx, sp := tracing.Start(ctx, "query.execute")
-	res, err := en.executeCtx(ctx, cq, current)
+	res, err := en.executeCtx(ctx, cq, current, rankAll)
 	sp.Fail(err)
 	if err == nil {
 		sp.SetInt("states", int64(len(res.Resolutions)))
@@ -161,11 +176,11 @@ func (en *Engine) ExecuteCtx(ctx context.Context, cq Contextual, current ctxmode
 	return res, err
 }
 
-// executeCtx is the ExecuteCtx body, split out so the query.execute
-// span can annotate the result on the way out.
+// executeCtx is the ExecuteCtx body; rankAll ranks a contextual answer
+// in full whatever cq.TopK.
 //
 //cpvet:scanloop
-func (en *Engine) executeCtx(ctx context.Context, cq Contextual, current ctxmodel.State) (*Result, error) {
+func (en *Engine) executeCtx(ctx context.Context, cq Contextual, current ctxmodel.State, rankAll bool) (*Result, error) {
 	states, err := en.QueryStates(cq, current)
 	if err != nil {
 		return nil, err
@@ -200,24 +215,43 @@ func (en *Engine) executeCtx(ctx context.Context, cq Contextual, current ctxmode
 		res.Resolutions = append(res.Resolutions, r)
 	}
 	if !matched {
-		// Non-contextual fallback: plain selection, unranked.
-		idxs, err := en.rel.SelectCtx(ctx, cq.Selection...)
-		if err != nil {
-			return nil, err
-		}
-		for _, idx := range idxs {
-			res.Tuples = append(res.Tuples, relation.ScoredTuple{Index: idx, Tuple: en.rel.Tuple(idx)})
-		}
-		if cq.TopK > 0 && len(res.Tuples) > cq.TopK {
-			res.Tuples = res.Tuples[:cq.TopK]
-		}
-		return res, nil
+		return en.fallback(ctx, cq, res)
 	}
 	res.Contextual = true
-	if cq.TopK > 0 {
+	if cq.TopK > 0 && !rankAll {
 		res.Tuples = rs.Top(cq.TopK, en.combiner)
 	} else {
 		res.Tuples = rs.Ranked(en.combiner)
+	}
+	return res, nil
+}
+
+// fallback is the non-contextual execution of Section 4.2: the plain
+// selection, unranked, in tuple order, cut to cq.TopK. It builds only
+// the tuples it returns; without a selection it lists no indexes.
+func (en *Engine) fallback(ctx context.Context, cq Contextual, res *Result) (*Result, error) {
+	var idxs []int
+	n := en.rel.Len()
+	if len(cq.Selection) > 0 {
+		var err error
+		if idxs, err = en.rel.SelectCtx(ctx, cq.Selection...); err != nil {
+			return nil, err
+		}
+		n = len(idxs)
+	}
+	if cq.TopK > 0 && n > cq.TopK {
+		n = cq.TopK
+	}
+	if n == 0 {
+		return res, nil
+	}
+	res.Tuples = make([]relation.ScoredTuple, n)
+	for i := range res.Tuples {
+		idx := i
+		if idxs != nil {
+			idx = idxs[i]
+		}
+		res.Tuples[i] = relation.ScoredTuple{Index: idx, Tuple: en.rel.Tuple(idx)}
 	}
 	return res, nil
 }

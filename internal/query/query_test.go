@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"contextpref/internal/ctxmodel"
@@ -283,6 +285,56 @@ func TestExecuteNonContextualFallback(t *testing.T) {
 	res, err = en.Execute(Contextual{}, nil)
 	if err != nil || res.Contextual || len(res.Tuples) != 5 {
 		t.Fatalf("no-context execute = %+v, %v", res, err)
+	}
+}
+
+// TestExecuteFullCtx checks the cache's seam: a contextual answer is
+// ranked in full whatever TopK, and the non-contextual fallback is the
+// plain selection in tuple order cut to TopK, built without listing the
+// relation when there is no selection, and nil when nothing matches.
+func TestExecuteFullCtx(t *testing.T) {
+	e, en := engine(t)
+	ctx := context.Background()
+	covered, _ := e.NewState("Plaka", "warm", "friends")
+	full, err := en.ExecuteCtx(ctx, Contextual{}, covered)
+	if err != nil || !full.Contextual {
+		t.Fatalf("contextual Execute = %+v, %v", full, err)
+	}
+	for _, k := range []int{0, 1, 2} {
+		got, err := en.ExecuteFullCtx(ctx, Contextual{TopK: k}, covered)
+		if err != nil || !reflect.DeepEqual(got, full) {
+			t.Errorf("ExecuteFullCtx top %d = %+v, %v; want the full ranking %+v", k, got, err, full)
+		}
+	}
+	uncovered, _ := e.NewState("Perama", "cold", "alone")
+	rel := en.Relation()
+	for _, sel := range [][]relation.Predicate{
+		nil,
+		{{Col: "open_air", Op: relation.OpEq, Val: relation.B(true)}},
+		{{Col: "type", Op: relation.OpEq, Val: relation.S("library")}},
+	} {
+		idxs, err := rel.Select(sel...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, 1, 2, 10} {
+			var want []relation.ScoredTuple
+			for _, idx := range idxs {
+				if k > 0 && len(want) == k {
+					break
+				}
+				want = append(want, relation.ScoredTuple{Index: idx, Tuple: rel.Tuple(idx)})
+			}
+			cq := Contextual{Selection: sel, TopK: k}
+			got, err := en.ExecuteFullCtx(ctx, cq, uncovered)
+			if err != nil || got.Contextual || !reflect.DeepEqual(got.Tuples, want) {
+				t.Errorf("fallback %v top %d = %+v, %v; want %v", sel, k, got, err, want)
+			}
+			plain, err := en.ExecuteCtx(ctx, cq, uncovered)
+			if err != nil || !reflect.DeepEqual(plain, got) {
+				t.Errorf("fallback %v top %d: ExecuteCtx %+v differs from ExecuteFullCtx %+v", sel, k, plain, got)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package querytree
 
 import (
+	"runtime"
 	"testing"
 
 	"contextpref/internal/ctxmodel"
+	"contextpref/internal/dataset"
 	"contextpref/internal/distance"
 	"contextpref/internal/preference"
 	"contextpref/internal/profiletree"
@@ -154,6 +156,125 @@ func TestEviction(t *testing.T) {
 	c.Put(s3, someTuples(0.9), query.Resolution{})
 	if got := c.Stats().Entries; got != 2 {
 		t.Errorf("Entries after overwrites = %d", got)
+	}
+}
+
+// TestInvalidateStateKeepsEvictionOrder pins that a state dropped by
+// InvalidateState and cached again holds one place in the eviction
+// order, the place of its new insertion, and that the cycle retains
+// nothing.
+func TestInvalidateStateKeepsEvictionOrder(t *testing.T) {
+	e := env(t)
+	s1 := st(t, e, "Plaka", "warm", "friends")
+	s2 := st(t, e, "Kifisia", "warm", "friends")
+	s3 := st(t, e, "Perama", "cold", "alone")
+	c, _ := New(e, nil, 2)
+	c.Put(s1, someTuples(0.1), query.Resolution{})
+	c.Put(s2, someTuples(0.2), query.Resolution{})
+	c.InvalidateState(s1)
+	c.Put(s1, someTuples(0.3), query.Resolution{})
+	c.Put(s3, someTuples(0.4), query.Resolution{})
+	for _, tc := range []struct {
+		s    ctxmodel.State
+		want bool
+	}{{s1, true}, {s2, false}, {s3, true}} {
+		if _, _, ok, _ := c.Get(tc.s); ok != tc.want {
+			t.Errorf("after re-caching s1, Get(%v) hit = %v, want %v (s2 is the oldest entry)", tc.s, ok, tc.want)
+		}
+	}
+
+	c, _ = New(e, nil, 64)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100000; i++ {
+		c.InvalidateState(s1)
+		c.Put(s1, someTuples(0.5), query.Resolution{})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 64<<10 {
+		t.Errorf("100,000 InvalidateState+Put cycles of one state left %d bytes of heap", grown)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.InternalCells != 3 {
+		t.Errorf("Stats after the cycles = %+v, want 1 entry on 3 cells", st)
+	}
+}
+
+// TestCellsBoundedByCapacity puts every state of cold-rank's
+// 4,096-state pool and checks that the trie never holds more cells
+// than capacity × levels: removing an entry prunes its path.
+func TestCellsBoundedByCapacity(t *testing.T) {
+	e, err := dataset.RealEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := dataset.RandomQueries(e, 4096, 2007+1<<22, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []int{1, 8, 64} {
+		c, _ := New(e, nil, capacity)
+		worst := 0
+		for _, s := range pool {
+			if err := c.Put(s, nil, query.Resolution{Query: s}); err != nil {
+				t.Fatal(err)
+			}
+			worst = max(worst, c.Stats().InternalCells)
+		}
+		st := c.Stats()
+		if bound := capacity * e.NumParams(); worst > bound {
+			t.Errorf("capacity %d: the trie reached %d cells, bound %d", capacity, worst, bound)
+		}
+		if st.Entries != capacity {
+			t.Errorf("capacity %d: %d entries", capacity, st.Entries)
+		}
+	}
+}
+
+// TestTopPrefixBuiltOnFirstHit pins how a hit's answer is built: cut
+// as ResultSet.Top cuts, ties included, from a prefix built on the
+// first hit and reused by every hit that asks for no longer a cut;
+// rebuilt for a longer cut; dropped by an overwrite.
+func TestTopPrefixBuiltOnFirstHit(t *testing.T) {
+	e, inner := buildEngine(t)
+	c, _ := New(e, nil, 0)
+	if _, err := NewEngine(inner, c); err != nil {
+		t.Fatal(err)
+	}
+	rel := inner.Relation()
+	s := st(t, e, "Plaka", "warm", "friends")
+	ranked := []relation.ScoredTuple{{Index: 1, Score: 0.9}, {Index: 0, Score: 0.5}, {Index: 1, Score: 0.5}, {Index: 0, Score: 0.2}}
+	if err := c.Put(s, ranked, query.Resolution{Query: s, Found: true}); err != nil {
+		t.Fatal(err)
+	}
+	top2, _, _, _ := c.GetTop(s, 2)
+	if len(top2) != 3 || cap(top2) != 3 {
+		t.Fatalf("top 2 = %v (cap %d), want 3 tuples through the tie", top2, cap(top2))
+	}
+	for i, tu := range top2 {
+		if tu.Index != ranked[i].Index || tu.Score != ranked[i].Score || tu.Tuple[0] != rel.Tuple(tu.Index)[0] {
+			t.Errorf("top 2 tuple %d = %+v, want %+v with the relation's row", i, tu, ranked[i])
+		}
+	}
+	top1, _, _, _ := c.GetTop(s, 1)
+	again, _, _, _ := c.GetTop(s, 2)
+	if len(top1) != 1 || &top1[0] != &top2[0] || &again[0] != &top2[0] {
+		t.Error("a cut no longer than the built prefix did not reuse it")
+	}
+	all, _, _, _ := c.GetTop(s, 0)
+	if len(all) != 4 || &all[0] == &top2[0] {
+		t.Errorf("a longer cut returned %d tuples from the old prefix", len(all))
+	}
+	if err := c.Put(s, ranked[:1], query.Resolution{Query: s, Found: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _, _ := c.GetTop(s, 2); len(got) != 1 {
+		t.Errorf("after an overwrite, top 2 = %v, want the new one-tuple ranking", got)
+	}
+	if err := c.Put(s, []relation.ScoredTuple{{Index: rel.Len()}}, query.Resolution{}); err == nil {
+		t.Error("Put of a tuple index outside the relation should fail")
 	}
 }
 
