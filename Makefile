@@ -25,7 +25,7 @@ bench:
 # Tier-1 benchmarks as machine-readable JSON, for diffing in CI.
 # Parameterized by PR so each PR's numbers land in their own file
 # instead of silently overwriting the previous baseline.
-BENCH_PR ?= PR26
+BENCH_PR ?= PR27
 BENCH_OUT ?= BENCH_$(BENCH_PR).json
 # The newest committed BENCH file by PR number, and the newest other
 # than BENCH_OUT. The paper's own counts (every metric of the Table 1,
@@ -71,6 +71,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/cpql/
 	$(GO) test -fuzz=FuzzJournalRecovery -fuzztime=30s ./internal/journal/
 	$(GO) test -fuzz=FuzzJournalScanMatchesReference -fuzztime=30s ./internal/journal/
+	$(GO) test -fuzz=FuzzSnapshotScanMatchesReference -fuzztime=30s ./internal/journal/
+	$(GO) test -fuzz=FuzzPreferenceBinaryRoundTrip -fuzztime=30s ./internal/preference/
 	$(GO) test -fuzz='FuzzReplicationFrame$$' -fuzztime=30s ./internal/replication/
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=30s ./internal/tracing/
 	$(GO) test -fuzz=FuzzCacheMatchesModel -fuzztime=30s ./internal/querytree/
@@ -86,6 +88,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseLineMatchesReference -fuzztime=5s ./internal/preference/
 	$(GO) test -fuzz=FuzzJournalRecovery -fuzztime=5s ./internal/journal/
 	$(GO) test -fuzz=FuzzJournalScanMatchesReference -fuzztime=5s ./internal/journal/
+	$(GO) test -fuzz=FuzzSnapshotScanMatchesReference -fuzztime=5s ./internal/journal/
+	$(GO) test -fuzz=FuzzPreferenceBinaryRoundTrip -fuzztime=5s ./internal/preference/
 	$(GO) test -fuzz='FuzzReplicationFrame$$' -fuzztime=5s ./internal/replication/
 	$(GO) test -fuzz=FuzzTraceparent -fuzztime=5s ./internal/tracing/
 	$(GO) test -fuzz=FuzzCacheMatchesModel -fuzztime=5s ./internal/querytree/

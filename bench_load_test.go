@@ -191,35 +191,36 @@ func recoveryStore(tb testing.TB) (*Environment, *Relation, string) {
 }
 
 // recoverStore recovers a store as cpserver does at start, shard after
-// shard: journal.Open, then ReplayShard into a directory with the
-// parked-users resident bound. It returns the recovered record count.
-func recoverStore(tb testing.TB, env *Environment, rel *Relation, store string) int {
+// shard: journal.OpenStream hands each scanned batch to the shard's
+// Replayer, into a directory with the parked-users resident bound. It
+// returns the directory and the recovered record count.
+func recoverStore(tb testing.TB, env *Environment, rel *Relation, store string) (*Directory, int) {
 	d, err := NewDirectory(env, rel, WithShards(parkedShards), WithMaxResidentUsers(parkedResident))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	n := 0
 	for i := 0; i < parkedShards; i++ {
-		j, recs, err := journal.Open(filepath.Join(store, journal.ShardDir(i)))
+		rp, err := d.ShardReplayer(i)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		err = d.ReplayShard(i, recs)
+		j, err := journal.OpenStream(nil, filepath.Join(store, journal.ShardDir(i)), rp.Apply)
+		if err != nil {
+			tb.Fatal(err)
+		}
 		j.Close()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		n += len(recs)
+		n += rp.Records()
 	}
 	if d.NumUsers() != parkedUsers {
 		tb.Fatalf("recovered %d users, want %d", d.NumUsers(), parkedUsers)
 	}
-	return n
+	return d, n
 }
 
 // BenchmarkStoreRecovery prices recovering the parked-users store from
-// disk, the rung under cpserver's startup: per shard, the journal scan
-// (journal.Open) and ReplayShard, run sequentially.
+// disk, the rung under cpserver's startup: per shard, the streamed
+// journal scan feeding the shard's Replayer, run sequentially.
 func BenchmarkStoreRecovery(b *testing.B) {
 	env, rel, store := recoveryStore(b)
 	b.ReportAllocs()
@@ -237,11 +238,21 @@ func BenchmarkStoreRecovery(b *testing.B) {
 // record costs no allocation of its own in the journal scan; replay
 // parses, and copies once, each distinct line of a shard, and allocates
 // a handle and one parked slice per user.
+//
+// The recovery bytes budget is about 300 B per record measured, plus
+// 10%: the scan's one string per batch, the replay's one table entry
+// per distinct line of a shard, and the parked forms; the scan that
+// read each file whole, twice, and parked records over line copies
+// made about 565 B per record. A park/unpark cycle of a 20-preference
+// profile decodes each record with no text to parse, in 173
+// allocations; parsing each record made it 206.
 const (
-	parseAllocBudget    = 3
-	loadAllocBudget     = 4450
-	loadBytesBudget     = 435000
-	recoveryAllocBudget = 2.5
+	parseAllocBudget     = 3
+	loadAllocBudget      = 4450
+	loadBytesBudget      = 435000
+	recoveryAllocBudget  = 2.5
+	recoveryBytesBudget  = 330
+	parkCycleAllocBudget = 180
 )
 
 // retainedHeapBudget caps the heap one loaded 522-preference profile
@@ -249,6 +260,13 @@ const (
 // profile tree, about 92 KB, and nothing of the text it was loaded
 // from, which alone would add its body's 49 KB or more.
 const retainedHeapBudget = 100 << 10
+
+// parkedHeapBudget caps the heap one parked user of the parked-users
+// store keeps after recovery: its handle, its share of its shard's
+// maps, and its 20 records in binary form.
+// The budget is the 985 B measured, plus 10%; records parked as
+// 40-byte records over line copies kept 2,251 B.
+const parkedHeapBudget = 1083
 
 // TestLoadRetainedHeap loads 64 profiles, the fixture's texts in turn,
 // each from a fresh body converted at the call as handleAdd converts
@@ -284,13 +302,14 @@ func TestLoadRetainedHeap(t *testing.T) {
 
 // TestLoadAllocBudgets pins the load path's allocation counts with
 // testing.AllocsPerRun: parsing one line of the fixture (averaged over
-// every line), loading a 522-preference text into a fresh system, and
-// recovering the parked-users store (per recovered record). AllocsPerRun
+// every line), loading a 522-preference text into a fresh system,
+// recovering the parked-users store (per recovered record), and one
+// park/unpark cycle. AllocsPerRun
 // floors its mean to an integer, so one run parses every line, or
 // recovers every record, and the total is divided here: the per-line
 // and per-record means are compared unfloored. It also pins the bytes
 // one load allocates, from runtime.MemStats.TotalAlloc over a load of
-// each text.
+// each text, and the bytes one recovery allocates per record.
 func TestLoadAllocBudgets(t *testing.T) {
 	env, rel, texts := loadFixture(t)
 	lines := loadLines(texts)
@@ -340,10 +359,49 @@ func TestLoadAllocBudgets(t *testing.T) {
 	env, rel, store := recoveryStore(t)
 	records := 0
 	recovery := testing.AllocsPerRun(2, func() {
-		records = recoverStore(t, env, rel, store)
+		_, records = recoverStore(t, env, rel, store)
 	}) / float64(records)
 	t.Logf("store recovery: %.3f allocs per recovered record, budget %.1f", recovery, recoveryAllocBudget)
 	if recovery > recoveryAllocBudget {
 		t.Errorf("store recovery allocates %.3f per record, budget %.1f", recovery, recoveryAllocBudget)
+	}
+	runtime.ReadMemStats(&before)
+	recoverStore(t, env, rel, store)
+	runtime.ReadMemStats(&after)
+	recoveryBytes := (after.TotalAlloc - before.TotalAlloc) / uint64(records)
+	t.Logf("store recovery: %d bytes allocated per recovered record, budget %d", recoveryBytes, recoveryBytesBudget)
+	if recoveryBytes > recoveryBytesBudget {
+		t.Errorf("store recovery allocates %d bytes per record, budget %d", recoveryBytes, recoveryBytesBudget)
+	}
+	_, users := parkedCycleFixture(t)
+	next = 0
+	cycle := testing.AllocsPerRun(100, func() {
+		if users[next%2].NumPreferences() == 0 {
+			t.Fatal("parked profile rebuilt empty")
+		}
+		next++
+	})
+	t.Logf("park/unpark cycle: %.0f allocs, budget %d", cycle, parkCycleAllocBudget)
+	if cycle > parkCycleAllocBudget {
+		t.Errorf("a park/unpark cycle allocates %.0f, budget %d", cycle, parkCycleAllocBudget)
+	}
+}
+
+// TestParkedRetainedHeap measures the live heap one parked user keeps
+// after the parked-users store is recovered and a collection runs: its
+// handle, its share of the shard maps, and its parked form.
+func TestParkedRetainedHeap(t *testing.T) {
+	env, rel, store := recoveryStore(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, _ := recoverStore(t, env, rel, store)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / parkedUsers
+	t.Logf("retained heap: %d bytes per parked user, budget %d", per, parkedHeapBudget)
+	if per > parkedHeapBudget {
+		t.Errorf("a parked user retains %d bytes of heap, budget %d", per, parkedHeapBudget)
 	}
 }

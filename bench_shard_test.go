@@ -96,32 +96,7 @@ func benchmarkDirectoryMixed(b *testing.B, shards int) {
 // — the access → unpark → evict cycle that dominates a directory whose
 // users far outnumber its bound.
 func BenchmarkDirectoryParkedCycle(b *testing.B) {
-	env, err := dataset.RealEnvironment()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel, err := dataset.POIs(env, 60, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := NewDirectory(env, rel, WithMaxResidentUsers(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var users [2]*SafeSystem
-	for i := range users {
-		prefs, err := dataset.ProfileSpec{Env: env, NumPrefs: 20, Seed: benchSeed + int64(i),
-			Dist: dataset.Zipf, ZipfA: 1, UpperLevelProb: 0.2}.Generate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if users[i], err = d.User(fmt.Sprintf("bench-parked-%d", i)); err != nil {
-			b.Fatal(err)
-		}
-		if err := users[i].AddPreferences(prefs...); err != nil {
-			b.Fatal(err)
-		}
-	}
+	d, users := parkedCycleFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -133,4 +108,38 @@ func BenchmarkDirectoryParkedCycle(b *testing.B) {
 	if d.ResidentUsers() != 1 {
 		b.Fatalf("ResidentUsers = %d, want 1", d.ResidentUsers())
 	}
+}
+
+// parkedCycleFixture is a directory with a resident bound of one and
+// two users of 20 preferences each, so touching them in turn unparks
+// one and parks the other.
+func parkedCycleFixture(tb testing.TB) (*Directory, [2]*SafeSystem) {
+	tb.Helper()
+	env, err := dataset.RealEnvironment()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rel, err := dataset.POIs(env, 60, benchSeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d, err := NewDirectory(env, rel, WithMaxResidentUsers(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var users [2]*SafeSystem
+	for i := range users {
+		prefs, err := dataset.ProfileSpec{Env: env, NumPrefs: 20, Seed: benchSeed + int64(i),
+			Dist: dataset.Zipf, ZipfA: 1, UpperLevelProb: 0.2}.Generate()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if users[i], err = d.User(fmt.Sprintf("bench-parked-%d", i)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := users[i].AddPreferences(prefs...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d, users
 }

@@ -178,6 +178,7 @@ import (
 	"contextpref"
 	"contextpref/httpapi"
 	"contextpref/internal/dataset"
+	"contextpref/internal/faultfs"
 	"contextpref/internal/journal"
 	"contextpref/internal/replication"
 	"contextpref/internal/tracing"
@@ -887,18 +888,28 @@ func recoverShards(store string, dir *contextpref.Directory) ([]recoveredShard, 
 	return out, nil
 }
 
-// recoverShard opens one shard's journal segment and replays it. The
-// journal is returned even when replay fails, so the caller closes it.
+// recoverShard opens one shard's journal segment and replays it batch
+// by batch as the segment is scanned: neither the segment's text nor a
+// list of its records is ever held whole. No journal is returned when
+// the scan or the replay fails.
 func recoverShard(store string, dir *contextpref.Directory, i int) (recoveredShard, error) {
 	start := time.Now()
-	j, recs, err := journal.Open(filepath.Join(store, journal.ShardDir(i)))
+	rp, err := dir.ShardReplayer(i)
 	if err != nil {
-		return recoveredShard{}, fmt.Errorf("opening shard %d store: %w", i, err)
+		return recoveredShard{}, err
 	}
 	// Replay before attaching the persister, or replay would re-journal
 	// its own input.
-	if err := dir.ReplayShard(i, recs); err != nil {
-		return recoveredShard{journal: j}, fmt.Errorf("replaying shard %d store: %w", i, err)
+	var replayErr error
+	j, err := journal.OpenStream(faultfs.OS{}, filepath.Join(store, journal.ShardDir(i)), func(recs []journal.Record) error {
+		replayErr = rp.Apply(recs)
+		return replayErr
+	})
+	if replayErr != nil {
+		return recoveredShard{}, fmt.Errorf("replaying shard %d store: %w", i, replayErr)
 	}
-	return recoveredShard{journal: j, records: len(recs), took: time.Since(start)}, nil
+	if err != nil {
+		return recoveredShard{}, fmt.Errorf("opening shard %d store: %w", i, err)
+	}
+	return recoveredShard{journal: j, records: rp.Records(), took: time.Since(start)}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"contextpref/internal/journal"
 	"contextpref/internal/tracing"
 )
 
@@ -18,11 +17,11 @@ import (
 //
 // A handle can be "parked" to bound resident memory (see
 // WithMaxResidentUsers): the materialized System — profile tree, query
-// cache, engines — is dropped and the profile is kept as its compact
-// journal-record form in the handle itself. The handle's identity never
-// changes; the next access rebuilds the System transparently under the
-// write lock. Parking is lossless: the records are an in-memory
-// archive, never a disk reload.
+// cache, engines — is dropped and the profile is kept in the handle
+// itself as its records in binary form (see parked). The handle's
+// identity never changes; the next access rebuilds the System
+// transparently under the write lock. Parking is lossless: the records
+// are an in-memory archive, never a disk reload.
 type SafeSystem struct {
 	mu      sync.RWMutex
 	sys     *System // nil while parked
@@ -32,14 +31,20 @@ type SafeSystem struct {
 	// without the lock, while removal clears it under the lock.
 	shard atomic.Pointer[dirShard] // owning shard; nil after the user is removed
 	user  string                   // directory key
-	// parked holds the profile as add/remove records while sys is nil.
-	parked []journal.Record
-	// archive is the add-only record list the resident system was last
+	// parked holds the profile while sys is nil, as its add and remove
+	// records in order, each an op byte (journal.OpAdd or OpRemove)
+	// followed by the preference's binary encoding
+	// (preference.AppendBinary): descriptor values as (level, rank) in
+	// their hierarchies, so an unpark decodes them without parsing
+	// text. It holds no pointer, so the collector never scans it, and
+	// its bytes are never written once appended.
+	parked []byte
+	// archive is the add-only parked form the resident system was last
 	// rebuilt from, and archiveVersion the tree's Version() right after
 	// that rebuild: while the version has not moved, the archive still
 	// describes the profile exactly and tryPark re-parks it as-is instead
 	// of re-encoding the tree. Kept only in shards with a resident bound.
-	archive        []journal.Record
+	archive        []byte
 	archiveVersion uint64
 	// parkPersist/parkHealth are the hooks to re-attach on unpark;
 	// meaningful only while parked.
@@ -57,20 +62,20 @@ func (s *SafeSystem) touch() {
 }
 
 // ensureLocked materializes a parked system; the caller must hold the
-// write lock. The parked records were validated when first committed,
-// so a rebuild failure indicates resource exhaustion or a foreign
-// record slipped into the journal — the error surfaces to the caller
-// and the handle stays parked for a later retry. Each record is parsed
-// once and conflict-checked once (by InsertAll). In a shard with a
-// resident bound, an add-only record list is kept as the handle's
-// archive for the next park. It returns the owning shard when this
-// call materialized the system (nil when it was already resident), so
-// the caller can admit it to the shard's resident set and run the
-// eviction sweep after releasing the handle lock: touching the shard
-// lock from under s.mu would acquire it against the declared shard ->
-// SafeSystem order and deadlock against setPersister/setHealth, which
-// hold the shard lock while attaching hooks to every handle
-// (cpvet:lockorder caught this).
+// write lock. The parked records were validated when first committed
+// and checked against the environment when parked, so a rebuild
+// failure indicates resource exhaustion — the error surfaces to the
+// caller and the handle stays parked for a later retry. Each record is
+// decoded, with no text to parse, and conflict-checked once (by
+// InsertAll). In a shard with a resident bound, an add-only parked
+// form is kept as the handle's archive for the next park. It returns
+// the owning shard when this call materialized the system (nil when it
+// was already resident), so the caller can admit it to the shard's
+// resident set and run the eviction sweep after releasing the handle
+// lock: touching the shard lock from under s.mu would acquire it
+// against the declared shard -> SafeSystem order and deadlock against
+// setPersister/setHealth, which hold the shard lock while attaching
+// hooks to every handle (cpvet:lockorder caught this).
 func (s *SafeSystem) ensureLocked() (*dirShard, error) {
 	if s.sys != nil {
 		return nil, nil
@@ -84,19 +89,16 @@ func (s *SafeSystem) ensureLocked() (*dirShard, error) {
 		return nil, fmt.Errorf("contextpref: loading user %q: %w", s.user, err)
 	}
 	sys.SetHealth(s.parkHealth)
-	addOnly := true
-	for _, r := range s.parked {
-		if err := applyRecord(sys, r); err != nil {
-			return nil, fmt.Errorf("contextpref: loading user %q: %w", s.user, err)
-		}
-		addOnly = addOnly && r.Op != journal.OpRemove
+	_, removes, err := applyParked(sys, s.parked)
+	if err != nil {
+		return nil, fmt.Errorf("contextpref: loading user %q: %w", s.user, err)
 	}
 	// Hooks re-attach only after the records applied, so the rebuild is
 	// never re-journaled and never health-gated.
 	sys.SetPersister(s.parkPersist, s.user)
-	// A list with removes would outgrow the normalized form on every
+	// A form with removes would outgrow the normalized form on every
 	// cycle; it is dropped, and the next park re-encodes the tree.
-	if sh.maxResident > 0 && addOnly {
+	if sh.maxResident > 0 && !removes {
 		s.archive, s.archiveVersion = s.parked, sys.tree.Version()
 	}
 	s.sys = sys
@@ -172,11 +174,11 @@ func (s *SafeSystem) residentHint() bool {
 // tryPark parks an idle resident system: the hooks are detached into
 // the parked fields and the System is dropped. The profile is kept as
 // the archive it was rebuilt from when the tree has not changed since;
-// otherwise it is exported to its normalized record form. It refuses
-// without blocking if the handle is in use (TryLock fails), already
-// parked, removed from its directory, or its export fails; it reports
-// whether it parked. Counter and resident-set updates are the
-// caller's.
+// otherwise the tree's stored entries are encoded, one add record per
+// entry (see parkedForm). It refuses without blocking if the handle is
+// in use (TryLock fails), already parked, removed from its directory,
+// or its encoding fails; it reports whether it parked. Counter and
+// resident-set updates are the caller's.
 func (s *SafeSystem) tryPark() bool {
 	if !s.mu.TryLock() {
 		return false
@@ -185,14 +187,14 @@ func (s *SafeSystem) tryPark() bool {
 	if s.sys == nil || s.shard.Load() == nil {
 		return false
 	}
-	recs := s.archive
-	if recs == nil || s.sys.tree.Version() != s.archiveVersion {
+	parked := s.archive
+	if parked == nil || s.sys.tree.Version() != s.archiveVersion {
 		var err error
-		if recs, err = s.sys.SnapshotRecords(s.user); err != nil {
+		if parked, err = s.sys.parkedForm(); err != nil {
 			return false
 		}
 	}
-	s.parked = recs
+	s.parked = parked
 	s.archive = nil
 	s.parkPersist = s.sys.persist
 	s.parkHealth = s.sys.health
@@ -231,26 +233,20 @@ func (s *SafeSystem) reattach(sh *dirShard, p Persister, name string) {
 	}
 }
 
-// appendParked folds a run of validated journal records of this
-// handle's user into it: applied in order if the system is resident,
-// appended to the parked archive otherwise. The records must own their
-// text, not alias the journal text they were read from. It returns how
-// many records it folded in, fewer than len(rs) only with the error
-// rs[n] caused. Shared by directory replay and the replication apply
-// path.
-func (s *SafeSystem) appendParked(rs []journal.Record) (int, error) {
+// appendParked folds a run of validated records of this handle's user,
+// in parked form, into it: applied in order if the system is resident,
+// appended to the parked form otherwise. On error it returns how many
+// records it applied before the one that failed. Shared by directory
+// replay and the replication apply path.
+func (s *SafeSystem) appendParked(run []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sys != nil {
-		for n, r := range rs {
-			if err := applyRecord(s.sys, r); err != nil {
-				return n, err
-			}
-		}
-		return len(rs), nil
+		n, _, err := applyParked(s.sys, run)
+		return n, err
 	}
-	s.parked = append(s.parked, rs...)
-	return len(rs), nil
+	s.parked = append(s.parked, run...)
+	return 0, nil
 }
 
 // AddPreference inserts one preference under the write lock.

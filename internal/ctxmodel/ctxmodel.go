@@ -488,6 +488,13 @@ func (d Descriptor) ParamDescriptors() []ParamDescriptor {
 	return append([]ParamDescriptor(nil), d.pds...)
 }
 
+// NumAtoms returns the number of component descriptors.
+func (d Descriptor) NumAtoms() int { return len(d.pds) }
+
+// Atom returns the i-th component descriptor without copying the list;
+// its Values are the descriptor's own and must only be read.
+func (d Descriptor) Atom(i int) ParamDescriptor { return d.pds[i] }
+
 // allValues is the context of an absent parameter, {all}; shared by
 // every expansion and never written.
 var allValues = []string{hierarchy.All}

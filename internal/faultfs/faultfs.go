@@ -13,6 +13,8 @@
 // recovery always restores a consistent prefix of the workload.
 package faultfs
 
+import "io"
+
 // FS is the set of filesystem operations the journal uses. All paths
 // are plain OS paths. Implementations must be safe for concurrent use.
 type FS interface {
@@ -23,6 +25,11 @@ type FS interface {
 	Remove(name string) error
 	// ReadFile returns the file's contents (fs.ErrNotExist if absent).
 	ReadFile(name string) ([]byte, error)
+	// Open opens the named file for reading from its start
+	// (fs.ErrNotExist if absent): the streaming form of ReadFile, for a
+	// reader that keeps only a buffer of the file at a time. It shares
+	// ReadFile's fault class; the reads themselves are not counted.
+	Open(name string) (io.ReadCloser, error)
 	// Size returns the file's length in bytes (fs.ErrNotExist if
 	// absent).
 	Size(name string) (int64, error)
@@ -58,7 +65,7 @@ type Op string
 const (
 	OpMkdirAll Op = "mkdirall"
 	OpRemove   Op = "remove"
-	OpReadFile Op = "readfile"
+	OpReadFile Op = "readfile" // both FS.ReadFile and FS.Open
 	OpSize     Op = "size"
 	OpTruncate Op = "truncate" // both FS.Truncate and File.Truncate
 	OpRename   Op = "rename"

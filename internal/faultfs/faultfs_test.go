@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -234,5 +235,53 @@ func TestInjectOpsCounts(t *testing.T) {
 	_, _ = inj.ReadFile("/d/f")
 	if got := inj.Ops(); got != 7 {
 		t.Errorf("Ops = %d, want 7", got)
+	}
+}
+
+// TestOpenReadsLikeReadFile pins the streaming open to ReadFile: on OS
+// and MemFS it reads the same bytes and reports a missing file as
+// fs.ErrNotExist, and under injection it is one operation of the
+// readfile fault class.
+func TestOpenReadsLikeReadFile(t *testing.T) {
+	for name, tc := range map[string]struct {
+		fsys FS
+		dir  string
+	}{"OS": {OS{}, t.TempDir()}, "MemFS": {NewMemFS(), "/mem/open"}} {
+		file := filepath.Join(tc.dir, "f.txt")
+		exercise(t, tc.fsys, tc.dir)
+		want, err := tc.fsys.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := tc.fsys.Open(file)
+		if err != nil {
+			t.Fatalf("%s: Open = %v", name, err)
+		}
+		got, err := io.ReadAll(r)
+		r.Close()
+		if err != nil || string(got) != string(want) {
+			t.Errorf("%s: Open read %q, %v; ReadFile %q", name, got, err, want)
+		}
+		if _, err := tc.fsys.Open(filepath.Join(tc.dir, "nope")); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: Open missing = %v, want ErrNotExist", name, err)
+		}
+	}
+	inj := NewInject(NewMemFS())
+	exercise(t, inj, "/d")
+	ops := inj.Ops()
+	inj.AddFault(Fault{Op: OpReadFile, Count: 1, Err: ErrIO})
+	if _, err := inj.Open("/d/f.txt"); !errors.Is(err, ErrIO) {
+		t.Fatalf("Open under a readfile fault = %v, want EIO", err)
+	}
+	r, err := inj.Open("/d/f.txt")
+	if err != nil {
+		t.Fatalf("Open after the fault = %v", err)
+	}
+	if _, err := io.ReadAll(r); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if got := inj.Ops() - ops; got != 2 {
+		t.Errorf("two opens and a read counted %d operations, want 2", got)
 	}
 }

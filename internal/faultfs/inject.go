@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -186,6 +187,15 @@ func (i *Inject) ReadFile(name string) ([]byte, error) {
 		return nil, err
 	}
 	return i.inner.ReadFile(name)
+}
+
+// Open implements FS under the readfile fault class: the open is one
+// operation, and the reads from the returned file are not counted.
+func (i *Inject) Open(name string) (io.ReadCloser, error) {
+	if _, err := i.check(OpReadFile, name, 0); err != nil {
+		return nil, err
+	}
+	return i.inner.Open(name)
 }
 
 // Size implements FS.

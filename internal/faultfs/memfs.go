@@ -1,6 +1,8 @@
 package faultfs
 
 import (
+	"bytes"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -61,6 +63,16 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	out := make([]byte, len(f.data))
 	copy(out, f.data)
 	return out, nil
+}
+
+// Open implements FS. The reader holds a copy of the file as it was
+// when opened, as a file read start to end with nothing writing it.
+func (m *MemFS) Open(name string) (io.ReadCloser, error) {
+	data, err := m.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return io.NopCloser(bytes.NewReader(data)), nil
 }
 
 // Size implements FS.

@@ -1,6 +1,9 @@
 package faultfs
 
-import "os"
+import (
+	"io"
+	"os"
+)
 
 // OS is the passthrough implementation over the real filesystem — the
 // production default. The zero value is ready to use.
@@ -14,6 +17,9 @@ func (OS) Remove(name string) error { return os.Remove(name) }
 
 // ReadFile implements FS.
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+// Open implements FS.
+func (OS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
 // Size implements FS.
 func (OS) Size(name string) (int64, error) {

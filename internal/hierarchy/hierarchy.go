@@ -36,12 +36,19 @@ type Hierarchy struct {
 	name   string
 	levels []string // level names, detailed first, LevelAll last
 
-	levelIndex map[string]int  // level name -> index
-	spans      map[string]Span // value -> level and detailed-rank interval
+	levelIndex map[string]int   // level name -> index
+	places     map[string]place // value -> span and rank, in one lookup
 	parent     map[string]string
 	children   map[string][]string // value -> ordered children (next level down)
 	valuesAt   [][]string          // per level, values in insertion order
-	rank       map[string]int      // value -> position within its level (total order)
+}
+
+// place is a value's entry in the hierarchy's value index: its span
+// and its rank, the position within its level's total order, so that
+// valuesAt[Level][rank] is the value.
+type place struct {
+	Span
+	rank int32
 }
 
 // Name returns the hierarchy's name (usually the context parameter name).
@@ -69,14 +76,14 @@ func (h *Hierarchy) LevelIndex(name string) (int, bool) {
 // Contains reports whether v belongs to the extended domain of the
 // hierarchy, i.e. to the domain of any level including ALL.
 func (h *Hierarchy) Contains(v string) bool {
-	_, ok := h.spans[v]
+	_, ok := h.places[v]
 	return ok
 }
 
 // LevelOf returns the index of the level the value belongs to.
 func (h *Hierarchy) LevelOf(v string) (int, bool) {
-	sp, ok := h.spans[v]
-	return int(sp.Level), ok
+	pl, ok := h.places[v]
+	return int(pl.Level), ok
 }
 
 // Span is a value's place in the interval encoding of its hierarchy:
@@ -113,8 +120,8 @@ func (s Span) Overlap(o Span) int {
 
 // SpanOf returns the value's interval-encoding record.
 func (h *Hierarchy) SpanOf(v string) (Span, bool) {
-	sp, ok := h.spans[v]
-	return sp, ok
+	pl, ok := h.places[v]
+	return pl.Span, ok
 }
 
 // Canonical returns the hierarchy's own copy of the value, equal to v,
@@ -122,11 +129,27 @@ func (h *Hierarchy) SpanOf(v string) (Span, bool) {
 // tree does for its cell keys, keeps no reference to the text v was
 // cut from.
 func (h *Hierarchy) Canonical(v string) (string, Span, bool) {
-	sp, ok := h.spans[v]
+	pl, ok := h.places[v]
 	if !ok {
 		return "", Span{}, false
 	}
-	return h.valuesAt[sp.Level][h.rank[v]], sp, true
+	return h.valuesAt[pl.Level][pl.rank], pl.Span, true
+}
+
+// Place returns the value's level index and its rank within the level,
+// the pair that names it in the hierarchy, in one lookup.
+func (h *Hierarchy) Place(v string) (level, rank int, ok bool) {
+	pl, ok := h.places[v]
+	return int(pl.Level), int(pl.rank), ok
+}
+
+// ValueAt returns the hierarchy's own copy of the value that Place
+// names by (level, rank), and false when no value sits there.
+func (h *Hierarchy) ValueAt(level, rank int) (string, bool) {
+	if level < 0 || level >= len(h.valuesAt) || rank < 0 || rank >= len(h.valuesAt[level]) {
+		return "", false
+	}
+	return h.valuesAt[level][rank], true
 }
 
 // ValuesAt returns the domain of the level with index i, in the total
@@ -142,12 +165,12 @@ func (h *Hierarchy) DetailedValues() []string { return h.ValuesAt(0) }
 
 // ExtendedDomainSize returns |edom(C)|, the total number of values
 // across all levels including "all".
-func (h *Hierarchy) ExtendedDomainSize() int { return len(h.spans) }
+func (h *Hierarchy) ExtendedDomainSize() int { return len(h.places) }
 
 // ExtendedDomain returns every value of every level, detailed level
 // first, ALL last.
 func (h *Hierarchy) ExtendedDomain() []string {
-	out := make([]string, 0, len(h.spans))
+	out := make([]string, 0, len(h.places))
 	for i := range h.levels {
 		out = append(out, h.valuesAt[i]...)
 	}
@@ -224,12 +247,12 @@ func (h *Hierarchy) Descendants(v string) ([]string, error) {
 // per-parameter ingredient of the covers relation (Def. 10), answered
 // from the interval encoding without walking anc.
 func (h *Hierarchy) IsAncestorOrSelf(a, v string) bool {
-	sa, ok := h.spans[a]
+	sa, ok := h.places[a]
 	if !ok {
 		return false
 	}
-	sv, ok := h.spans[v]
-	return ok && sa.Covers(sv)
+	sv, ok := h.places[v]
+	return ok && sa.Covers(sv.Span)
 }
 
 // Ancestors returns v followed by each of its ancestors up to and
@@ -262,16 +285,17 @@ func (h *Hierarchy) LevelDistance(i, j int) int {
 // higher-level orders are induced by it (condition 3 of the paper:
 // the anc functions are monotone).
 func (h *Hierarchy) Rank(v string) (int, bool) {
-	r, ok := h.rank[v]
-	return r, ok
+	pl, ok := h.places[v]
+	return int(pl.rank), ok
 }
 
 // Range returns the values x of v1's level with v1 <= x <= v2 in the
 // level's total order, implementing range descriptors (Def. 1, case 3).
 // Both endpoints must belong to the same level.
 func (h *Hierarchy) Range(v1, v2 string) ([]string, error) {
-	l1, ok1 := h.LevelOf(v1)
-	l2, ok2 := h.LevelOf(v2)
+	p1, ok1 := h.places[v1]
+	p2, ok2 := h.places[v2]
+	l1, l2 := int(p1.Level), int(p2.Level)
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("hierarchy %s: unknown range endpoint in [%s, %s]", h.name, v1, v2)
 	}
@@ -279,7 +303,7 @@ func (h *Hierarchy) Range(v1, v2 string) ([]string, error) {
 		return nil, fmt.Errorf("hierarchy %s: range endpoints %q (level %s) and %q (level %s) belong to different levels",
 			h.name, v1, h.levels[l1], v2, h.levels[l2])
 	}
-	r1, r2 := h.rank[v1], h.rank[v2]
+	r1, r2 := p1.rank, p2.rank
 	if r1 > r2 {
 		return nil, fmt.Errorf("hierarchy %s: empty range [%s, %s]: %q follows %q in the level order",
 			h.name, v1, v2, v1, v2)
@@ -371,18 +395,16 @@ func (b *Builder) Build() (*Hierarchy, error) {
 		name:       b.name,
 		levels:     append(append([]string(nil), b.levels...), LevelAll),
 		levelIndex: make(map[string]int, n),
-		spans:      make(map[string]Span),
+		places:     make(map[string]place),
 		parent:     make(map[string]string),
 		children:   make(map[string][]string),
 		valuesAt:   make([][]string, n),
-		rank:       make(map[string]int),
 	}
 	for i, l := range h.levels {
 		h.levelIndex[l] = i
 	}
-	h.spans[All] = Span{Level: int32(n - 1)}
+	h.places[All] = place{Span: Span{Level: int32(n - 1)}}
 	h.valuesAt[n-1] = []string{All}
-	h.rank[All] = 0
 
 	for _, path := range b.paths {
 		// path[0] is detailed; path[len-1] is just below ALL.
@@ -405,9 +427,8 @@ func (b *Builder) Build() (*Hierarchy, error) {
 				}
 				continue
 			}
-			h.spans[v] = Span{Level: int32(i)}
+			h.places[v] = place{Span: Span{Level: int32(i)}, rank: int32(len(h.valuesAt[i]))}
 			h.parent[v] = wantParent
-			h.rank[v] = len(h.valuesAt[i])
 			h.valuesAt[i] = append(h.valuesAt[i], v)
 			h.children[wantParent] = append(h.children[wantParent], v)
 		}
@@ -426,12 +447,12 @@ func (b *Builder) Build() (*Hierarchy, error) {
 // so the union of their runs is contiguous too.
 func (h *Hierarchy) encodeIntervals() {
 	for r, v := range h.valuesAt[0] {
-		h.spans[v] = Span{Level: 0, Lo: int32(r), Hi: int32(r + 1)}
+		h.places[v] = place{Span: Span{Level: 0, Lo: int32(r), Hi: int32(r + 1)}, rank: int32(r)}
 	}
 	for l := 1; l < len(h.levels); l++ {
-		for _, v := range h.valuesAt[l] {
+		for r, v := range h.valuesAt[l] {
 			ch := h.children[v]
-			h.spans[v] = Span{Level: int32(l), Lo: h.spans[ch[0]].Lo, Hi: h.spans[ch[len(ch)-1]].Hi}
+			h.places[v] = place{Span: Span{Level: int32(l), Lo: h.places[ch[0]].Lo, Hi: h.places[ch[len(ch)-1]].Hi}, rank: int32(r)}
 		}
 	}
 }
@@ -444,7 +465,7 @@ func (h *Hierarchy) validateMonotone() error {
 	for l := 0; l < len(h.levels)-1; l++ {
 		prevParentRank := -1
 		for _, v := range h.valuesAt[l] {
-			pr := h.rank[h.parent[v]]
+			pr := int(h.places[h.parent[v]].rank)
 			if pr < prevParentRank {
 				return fmt.Errorf("hierarchy %s: anc is not monotone at level %s: value %q breaks the order",
 					h.name, h.levels[l], v)

@@ -47,6 +47,14 @@
 // alone) are detected by their header and atomically rewritten in the
 // current format on open.
 //
+// Recovery streams: the snapshot and the journal are read through a
+// fixed-size buffer, each record is parsed from the bytes read, and
+// each committed batch is handed over as soon as its commit marker is
+// seen (OpenStream), its records' strings cut from one string holding
+// that batch's text. No file is ever held whole, and a record kept past
+// recovery keeps only its batch's text alive. Open collects the batches
+// for callers that want the records as a slice.
+//
 // Snapshot writes the compacted state to a temporary file, fsyncs it,
 // renames it over snapshot.cpj, fsyncs the directory, and only then
 // truncates the journal. A crash between the rename and the truncation
@@ -70,10 +78,12 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -282,10 +292,12 @@ func ShardDir(shard int) string {
 // journal tail — and returns the journal ready for appending. A torn
 // journal tail is truncated away; see the package comment.
 //
-// Recovery copies no record: each recovered record's user and payload
-// are substrings of the text of the file it was read from, so one
-// record kept keeps that whole file's text alive. A holder that keeps
-// a record past recovery must copy its strings.
+// Recovery copies each record once, into the text of the batch it was
+// committed in: a recovered record's user and payload are substrings of
+// one string per batch (a snapshot is cut into chunks of a few KB), so
+// a record kept past recovery keeps its batch's text alive, a few KB,
+// and never the file's. OpenStream hands the batches over as they are
+// read, without collecting them.
 func Open(dir string, opts ...Option) (*Journal, []Record, error) {
 	return OpenFS(faultfs.OS{}, dir, opts...)
 }
@@ -293,66 +305,88 @@ func Open(dir string, opts ...Option) (*Journal, []Record, error) {
 // OpenFS is Open over an explicit filesystem implementation — the
 // fault-injection seam. Production callers use Open.
 func OpenFS(fsys faultfs.FS, dir string, opts ...Option) (*Journal, []Record, error) {
+	var recs []Record
+	j, err := OpenStream(fsys, dir, func(batch []Record) error {
+		recs = append(recs, batch...)
+		return nil
+	}, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return j, recs, nil
+}
+
+// OpenStream is OpenFS handing the recovered records to fn batch by
+// batch, in order, as the files are scanned, instead of collecting
+// them: neither a file's text nor a list of its records is ever held
+// whole. A nil fsys is the real filesystem. The snapshot's records come
+// in chunks, then each committed journal batch with the records the
+// snapshot already holds left out; a v1 journal is collected,
+// migrated, and then handed over as one batch. An error from fn ends
+// recovery: OpenStream returns it as it is, with no journal, and
+// truncates nothing. The torn-tail truncation happens after the scan,
+// so fn has seen every committed record by then.
+func OpenStream(fsys faultfs.FS, dir string, fn BatchFunc, opts ...Option) (*Journal, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
 	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	// Stale temp files are debris from a crashed snapshot or format
 	// migration; the rename never happened, so they are dead weight.
 	_ = fsys.Remove(filepath.Join(dir, snapshotTemp))
 	_ = fsys.Remove(filepath.Join(dir, journalTemp))
 
-	recs, lastSeq, err := readSnapshot(fsys, filepath.Join(dir, snapshotFile))
+	lastSeq, err := readSnapshot(fsys, filepath.Join(dir, snapshotFile), fn)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	// The journal's records follow the snapshot's, less those the
+	// snapshot already folded in.
+	tail := func(recs []Record, seqs []uint64) error {
+		kept := recs[:0]
+		for i, r := range recs {
+			if seqs[i] > lastSeq {
+				kept = append(kept, r)
+			}
+		}
+		if len(kept) == 0 {
+			return nil
+		}
+		return fn(kept)
 	}
 	jpath := filepath.Join(dir, journalFile)
-	scan, err := readJournal(fsys, jpath)
+	scan, err := scanJournal(fsys, jpath, readBufSize, tail)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if scan.legacy {
 		// Rewrite the v1 journal in the commit-framed format so every
 		// later open parses one format only.
 		if err := migrate(fsys, dir, &scan); err != nil {
-			return nil, nil, err
+			return nil, err
+		}
+		if err := tail(scan.recs, scan.seqs); err != nil {
+			return nil, err
 		}
 	} else if sz, err := fsys.Size(jpath); err == nil && sz > scan.validLen {
 		// Torn or corrupt tail: truncate back to the last committed
 		// batch.
 		if err := fsys.Truncate(jpath, scan.validLen); err != nil {
-			return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
+			return nil, fmt.Errorf("journal: truncating torn tail: %w", err)
 		}
 	}
-	nextSeq := lastSeq + 1
-	// The journal's records follow the snapshot's, less those the
-	// snapshot already folded in; without snapshot records, the scan's
-	// slice is filtered in place and returned as it is.
-	tail := scan.recs[:0]
-	for i, r := range scan.recs {
-		if scan.seqs[i] > lastSeq {
-			tail = append(tail, r)
-		}
-	}
-	if len(recs) == 0 {
-		recs = tail
-	} else {
-		recs = append(recs, tail...)
-	}
-	if scan.maxSeq >= nextSeq {
-		nextSeq = scan.maxSeq + 1
-	}
+	nextSeq := max(lastSeq, scan.maxSeq) + 1
 	f, err := fsys.OpenFile(jpath, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	size, _ := fsys.Size(jpath)
 	if size == 0 {
 		if _, err := f.Write([]byte(fileHeader + "\n")); err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("journal: %w", err)
+			return nil, fmt.Errorf("journal: %w", err)
 		}
 		size = int64(len(fileHeader) + 1)
 	}
@@ -364,7 +398,7 @@ func OpenFS(fsys faultfs.FS, dir string, opts ...Option) (*Journal, []Record, er
 	for _, o := range opts {
 		o(j)
 	}
-	return j, recs, nil
+	return j, nil
 }
 
 // Dir returns the store directory.
@@ -407,30 +441,32 @@ func (j *Journal) AppendCtx(ctx context.Context, recs ...Record) error {
 		start = time.Now()
 	}
 	seq := j.nextSeq
-	var b strings.Builder
+	// The batch is rendered into one buffer, sized for the usual line.
+	size := maxLineOverhead
+	for _, r := range recs {
+		size += len(r.User) + len(r.Line) + maxLineOverhead
+	}
+	batch := make([]byte, 0, size)
 	for _, r := range recs {
 		if !r.Op.valid() {
 			err := fmt.Errorf("journal: invalid op %q", string(rune(r.Op)))
 			sp.Fail(err)
 			return err
 		}
-		line, err := marshal(r, seq)
-		if err != nil {
+		var err error
+		if batch, err = appendRecord(batch, r, seq); err != nil {
 			sp.Fail(err)
 			return err
 		}
-		b.WriteString(line)
 		seq++
 	}
-	commit, err := marshal(Record{Op: opCommit, Line: strconv.Itoa(len(recs))}, seq)
+	batch, err := appendRecord(batch, Record{Op: opCommit, Line: strconv.Itoa(len(recs))}, seq)
 	if err != nil {
 		sp.Fail(err)
 		return err
 	}
-	b.WriteString(commit)
 	commitSeq := seq
 	seq++
-	batch := b.String()
 	sp.SetInt("bytes", int64(len(batch)))
 	if err := j.writeDurable(ctx, batch, start); err != nil {
 		sp.Fail(err)
@@ -438,16 +474,17 @@ func (j *Journal) AppendCtx(ctx context.Context, recs ...Record) error {
 	}
 	firstSeq := j.nextSeq
 	j.nextSeq = seq
-	j.size += int64(b.Len())
+	j.size += int64(len(batch))
 	if m := j.metrics; m != nil {
 		m.AppendSeconds.ObserveSince(start)
-		m.AppendBytes.Add(b.Len())
+		m.AppendBytes.Add(len(batch))
 		m.AppendRecords.Add(len(recs))
 		m.SizeBytes.Set(float64(j.size))
 	}
 	if j.onAppend != nil {
-		// []byte(batch) is a fresh copy, so the observer may retain it.
-		j.onAppend(firstSeq, commitSeq, []byte(batch))
+		// The journal keeps no reference to batch, so the observer may
+		// retain it.
+		j.onAppend(firstSeq, commitSeq, batch)
 	}
 	return nil
 }
@@ -468,7 +505,7 @@ func (j *Journal) Probe() error {
 	if j.wedged != nil {
 		return j.wedged
 	}
-	if err := j.writeDurable(context.Background(), probeLine, time.Time{}); err != nil {
+	if err := j.writeDurable(context.Background(), []byte(probeLine), time.Time{}); err != nil {
 		return err
 	}
 	j.size += int64(len(probeLine))
@@ -478,17 +515,17 @@ func (j *Journal) Probe() error {
 	return nil
 }
 
-// writeDurable writes s at the journal tail and fsyncs, retrying
+// writeDurable writes p at the journal tail and fsyncs, retrying
 // transient failures up to j.retries times. Every failed attempt first
 // rolls the file back to the last-known-good offset (j.size); if that
 // rollback fails the journal wedges. Callers hold j.mu. ctx carries
 // span provenance only (each fsync attempt becomes a journal.fsync
 // span); it does not cancel the write.
-func (j *Journal) writeDurable(ctx context.Context, s string, metricStart time.Time) error {
+func (j *Journal) writeDurable(ctx context.Context, p []byte, metricStart time.Time) error {
 	backoff := j.backoff
 	for attempt := 0; ; attempt++ {
 		err := func() error {
-			if _, err := j.f.Write([]byte(s)); err != nil {
+			if _, err := j.f.Write(p); err != nil {
 				return fmt.Errorf("journal: append: %w", err)
 			}
 			var syncStart time.Time
@@ -628,120 +665,52 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
+// maxLineOverhead bounds the bytes a record line takes besides its user
+// and payload for a plain user name: op, sequence number, quotes,
+// checksum, tabs and newline.
+const maxLineOverhead = 48
+
 // marshal renders one record line.
 func marshal(r Record, seq uint64) (string, error) {
+	line, err := appendRecord(nil, r, seq)
+	return string(line), err
+}
+
+// appendRecord appends one record line to dst:
+//
+//	<op> TAB <seq> TAB <quoted-user> TAB <crc32-hex> TAB <payload> LF
+//
+// The checksum is computed over the payload once it is appended, so
+// rendering a line copies the payload once and makes no other copy.
+func appendRecord(dst []byte, r Record, seq uint64) ([]byte, error) {
 	if !r.Op.valid() && r.Op != opCommit {
-		return "", fmt.Errorf("journal: invalid op %q", string(rune(r.Op)))
+		return dst, fmt.Errorf("journal: invalid op %q", string(rune(r.Op)))
 	}
 	if strings.ContainsAny(r.Line, "\n\r") {
-		return "", fmt.Errorf("journal: payload contains a line break: %q", r.Line)
+		return dst, fmt.Errorf("journal: payload contains a line break: %q", r.Line)
 	}
-	return fmt.Sprintf("%c\t%d\t%s\t%08x\t%s\n",
-		byte(r.Op), seq, strconv.Quote(r.User), crc32.ChecksumIEEE([]byte(r.Line)), r.Line), nil
+	dst = append(dst, byte(r.Op), '\t')
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, '\t')
+	dst = strconv.AppendQuote(dst, r.User)
+	dst = append(dst, "\t00000000\t"...)
+	sum := len(dst) - 9
+	dst = append(dst, r.Line...)
+	const hex = "0123456789abcdef"
+	crc := crc32.ChecksumIEEE(dst[len(dst)-len(r.Line):])
+	for i := 7; i >= 0; i-- {
+		dst[sum+i] = hex[crc&0xf]
+		crc >>= 4
+	}
+	return append(dst, '\n'), nil
 }
 
-// parseRecord reads one record line (without its line ending). raw
-// holds the same bytes as line, and the checksum is computed over them,
-// so a caller holding the file's bytes checks it without a copy. The
-// record's user and payload are substrings of line.
-func parseRecord(line string, raw []byte) (Record, uint64, error) {
-	var f [5]string
-	n, rest := 0, line
-	for ; n < len(f)-1; n++ {
-		tab := strings.IndexByte(rest, '\t')
-		if tab < 0 {
-			break
-		}
-		f[n], rest = rest[:tab], rest[tab+1:]
-	}
-	f[n] = rest
-	if n++; n != len(f) {
-		return Record{}, 0, fmt.Errorf("journal: %d fields, want 5", n)
-	}
-	if len(f[0]) != 1 || !(Op(f[0][0]).valid() || Op(f[0][0]) == opCommit) {
-		return Record{}, 0, fmt.Errorf("journal: invalid op %q", f[0])
-	}
-	seq, err := strconv.ParseUint(f[1], 10, 64)
-	if err != nil {
-		return Record{}, 0, fmt.Errorf("journal: bad sequence number %q", f[1])
-	}
-	user, err := strconv.Unquote(f[2])
-	if err != nil {
-		return Record{}, 0, fmt.Errorf("journal: bad user field %q", f[2])
-	}
-	sum, err := strconv.ParseUint(f[3], 16, 32)
-	if err != nil {
-		return Record{}, 0, fmt.Errorf("journal: bad checksum field %q", f[3])
-	}
-	if got := crc32.ChecksumIEEE(raw[len(raw)-len(f[4]):]); got != uint32(sum) {
-		return Record{}, 0, fmt.Errorf("journal: checksum mismatch (%08x != %08x)", got, sum)
-	}
-	return Record{Op: Op(f[0][0]), User: user, Line: f[4]}, seq, nil
-}
-
-// readSnapshot strictly parses the snapshot file (it is written
-// atomically, so any damage is real corruption, not a torn write).
-// Missing file means empty state.
-//
-//cpvet:deterministic
-func readSnapshot(fsys faultfs.FS, path string) ([]Record, uint64, error) {
-	data, err := fsys.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: reading snapshot: %w", err)
-	}
-	recs, lastSeq, _, err := parseSnapshot(data)
-	return recs, lastSeq, err
-}
-
-// parseSnapshot strictly parses a snapshot rendering. hasMeta reports
-// whether a "!lastseq" line was present — a snapshot shipped over the
-// replication wire must carry one, while a locally written snapshot
-// always does.
-//
-//cpvet:deterministic
-func parseSnapshot(data []byte) (recs []Record, lastSeq uint64, hasMeta bool, err error) {
-	text := string(data)
-	recs = make([]Record, 0, strings.Count(text, "\n")+1)
-	for ln, off := 1, 0; off <= len(text); ln++ {
-		end := strings.IndexByte(text[off:], '\n')
-		if end < 0 {
-			end = len(text) - off
-		}
-		// Only trim the line ending: a record with an empty payload
-		// legitimately ends in a tab.
-		line := strings.TrimRight(text[off:off+end], "\r")
-		raw := data[off : off+len(line)]
-		off += end + 1
-		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, metaPrefix); ok {
-			lastSeq, err = strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				return nil, 0, false, fmt.Errorf("journal: snapshot line %d: bad lastseq: %w", ln, err)
-			}
-			hasMeta = true
-			continue
-		}
-		r, _, err := parseRecord(line, raw)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: %w", ln, err)
-		}
-		if r.Op == opCommit {
-			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: commit marker in snapshot", ln)
-		}
-		recs = append(recs, r)
-	}
-	return recs, lastSeq, hasMeta, nil
-}
-
-// journalScan is the result of tolerantly parsing the journal.
+// journalScan is what the tolerant journal scan found besides the
+// records it handed over.
 type journalScan struct {
-	// recs/seqs hold the committed records in order. Their strings are
-	// substrings of the journal file's text.
+	// recs/seqs hold the records of a v1 journal, which the scan
+	// collects for migrate instead of handing them over. Their strings
+	// are substrings of one string per record.
 	recs []Record
 	seqs []uint64
 	// maxSeq is the highest committed sequence number, including the
@@ -755,90 +724,186 @@ type journalScan struct {
 	legacy bool
 }
 
-// readJournal tolerantly parses the journal: it stops at the first
-// invalid, unterminated, or mis-framed line and reports the byte length
-// of the committed prefix so the caller can truncate the tail away. In
-// the commit-framed format, a batch's records count only once its
-// commit marker is seen — an uncommitted batch is dropped entirely.
-//
-// The file is converted to a string once and every record's fields are
-// substrings of it; each checksum runs over the file's bytes. Records
-// are appended straight into slices sized by the line count, and an
-// unfinished batch is cut off their end.
+// scanJournal tolerantly scans the journal at path, reading it through
+// a buffer of bufSize bytes: it stops at the first invalid,
+// unterminated, or mis-framed line and reports the byte length of the
+// committed prefix so the caller can truncate the tail away. In the
+// commit-framed format, a batch's records are handed to fn, with their
+// sequence numbers, once its commit marker is seen: an uncommitted
+// batch is dropped entirely. The records of a v1 journal, where every
+// record stood alone, are collected into the result instead. An error
+// from fn ends the scan and is returned as it is.
 //
 //cpvet:deterministic
-func readJournal(fsys faultfs.FS, path string) (journalScan, error) {
+func scanJournal(fsys faultfs.FS, path string, bufSize int, fn func(recs []Record, seqs []uint64) error) (journalScan, error) {
 	var scan journalScan
-	data, err := fsys.ReadFile(path)
+	f, err := fsys.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return scan, nil
 	}
 	if err != nil {
 		return scan, fmt.Errorf("journal: reading journal: %w", err)
 	}
-	text := string(data)
-	scan.legacy = strings.HasPrefix(text, legacyHeader+"\n") ||
-		text == legacyHeader // torn header newline: still v1
-	lines := strings.Count(text, "\n")
-	scan.recs = make([]Record, 0, lines)
-	scan.seqs = make([]uint64, 0, lines)
-	// committed is how many of scan.recs the last commit covered; the
-	// records past it are the pending batch.
-	committed := 0
-	off := 0
+	defer f.Close()
+	lr := newLineReader(f, bufSize)
+	var b batchBuf
+	var off int64
 scanLoop:
-	for off < len(text) {
-		nl := strings.IndexByte(text[off:], '\n')
-		if nl < 0 {
+	for first := true; ; first = false {
+		raw, terminated, ok, err := lr.next()
+		if err != nil {
+			return scan, fmt.Errorf("journal: reading journal: %w", err)
+		}
+		if !ok {
+			break
+		}
+		if first {
+			// The v1 header, newline-terminated or torn before its
+			// newline.
+			scan.legacy = string(raw) == legacyHeader
+		}
+		if !terminated {
 			break // unterminated final line: torn write
 		}
-		end := off + nl + 1
-		line := strings.TrimRight(text[off:off+nl], "\r")
-		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
+		end := off + int64(len(raw)) + 1
+		line := bytes.TrimRight(raw, "\r")
+		if isBlank(line) {
 			// Comments between batches (the header, probe lines) are
 			// committed ground; mid-batch they cannot occur, and
 			// advancing there would resurrect a torn batch.
-			if len(scan.recs) == committed {
-				scan.validLen = int64(end)
+			if b.len() == 0 {
+				scan.validLen = end
 			}
 			off = end
 			continue
 		}
-		r, seq, perr := parseRecord(line, data[off:off+len(line)])
+		r, perr := parseRecord(line)
 		if perr != nil {
 			break // corrupt record: keep only the prefix before it
 		}
 		switch {
 		case scan.legacy:
-			if r.Op == opCommit {
+			if r.op == opCommit {
 				// v1 journals have no commit markers; one is corruption.
 				break scanLoop
 			}
-			scan.recs = append(scan.recs, r)
-			scan.seqs = append(scan.seqs, seq)
-			committed = len(scan.recs)
-			if seq > scan.maxSeq {
-				scan.maxSeq = seq
-			}
-			scan.validLen = int64(end)
-		case r.Op == opCommit:
-			count, cerr := strconv.Atoi(r.Line)
-			if cerr != nil || count != len(scan.recs)-committed || count == 0 {
+			b.add(r)
+			recs, seqs := b.flush()
+			scan.recs = append(scan.recs, recs...)
+			scan.seqs = append(scan.seqs, seqs...)
+			scan.maxSeq = max(scan.maxSeq, r.seq)
+			scan.validLen = end
+		case r.op == opCommit:
+			count, ok := commitCount(r.payload)
+			if !ok || count != b.len() || count == 0 {
 				break scanLoop // mis-framed commit: corruption
 			}
-			committed = len(scan.recs)
-			if seq > scan.maxSeq {
-				scan.maxSeq = seq
+			if err := fn(b.flush()); err != nil {
+				return scan, err
 			}
-			scan.validLen = int64(end)
+			scan.maxSeq = max(scan.maxSeq, r.seq)
+			scan.validLen = end
 		default:
-			scan.recs = append(scan.recs, r)
-			scan.seqs = append(scan.seqs, seq)
+			b.add(r)
 		}
 		off = end
 	}
-	scan.recs, scan.seqs = scan.recs[:committed], scan.seqs[:committed]
 	return scan, nil
+}
+
+// scanSnapshot strictly scans a snapshot rendering, reading it through
+// a buffer of bufSize bytes, and hands its records to fn in chunks of
+// about snapshotChunk bytes of text; fn may be nil. A snapshot is
+// written atomically, so any damage is real corruption, not a torn
+// write, and fails the scan, possibly after some chunks were handed
+// over. hasMeta reports whether a "!lastseq" line was present: a
+// snapshot shipped over the replication wire must carry one, while a
+// locally written snapshot always does.
+//
+//cpvet:deterministic
+func scanSnapshot(r io.Reader, bufSize int, fn BatchFunc) (lastSeq uint64, hasMeta bool, err error) {
+	lr := newLineReader(r, bufSize)
+	var b batchBuf
+	deliver := func() error {
+		recs, _ := b.flush()
+		if fn == nil || len(recs) == 0 {
+			return nil
+		}
+		return fn(recs)
+	}
+	for ln := 1; ; ln++ {
+		raw, _, ok, err := lr.next()
+		if err != nil {
+			return 0, false, fmt.Errorf("journal: reading snapshot: %w", err)
+		}
+		if !ok {
+			break
+		}
+		// Only trim the line ending: a record with an empty payload
+		// legitimately ends in a tab.
+		line := bytes.TrimRight(raw, "\r")
+		if isBlank(line) {
+			continue
+		}
+		if rest, ok := bytes.CutPrefix(line, []byte(metaPrefix)); ok {
+			lastSeq, err = strconv.ParseUint(string(bytes.TrimSpace(rest)), 10, 64)
+			if err != nil {
+				return 0, false, fmt.Errorf("journal: snapshot line %d: bad lastseq: %w", ln, err)
+			}
+			hasMeta = true
+			continue
+		}
+		r, err := parseRecord(line)
+		if err != nil {
+			return 0, false, fmt.Errorf("journal: snapshot line %d: %w", ln, err)
+		}
+		if r.op == opCommit {
+			return 0, false, fmt.Errorf("journal: snapshot line %d: commit marker in snapshot", ln)
+		}
+		b.add(r)
+		if len(b.text) >= snapshotChunk {
+			if err := deliver(); err != nil {
+				return 0, false, err
+			}
+		}
+	}
+	if err := deliver(); err != nil {
+		return 0, false, err
+	}
+	return lastSeq, hasMeta, nil
+}
+
+// readSnapshot streams the snapshot file's records to fn (see
+// scanSnapshot) and returns its last-compacted sequence number. A
+// missing file is an empty snapshot.
+//
+//cpvet:deterministic
+func readSnapshot(fsys faultfs.FS, path string, fn BatchFunc) (uint64, error) {
+	f, err := fsys.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("journal: reading snapshot: %w", err)
+	}
+	defer f.Close()
+	lastSeq, _, err := scanSnapshot(f, readBufSize, fn)
+	return lastSeq, err
+}
+
+// parseSnapshot strictly parses a snapshot rendering held in memory,
+// with the snapshot scan over a byte reader, and collects its records.
+//
+//cpvet:deterministic
+func parseSnapshot(data []byte) (recs []Record, lastSeq uint64, hasMeta bool, err error) {
+	lastSeq, hasMeta, err = scanSnapshot(bytes.NewReader(data), readBufSize, func(chunk []Record) error {
+		recs = append(recs, chunk...)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return recs, lastSeq, hasMeta, nil
 }
 
 // migrate atomically rewrites a v1 journal in the commit-framed format,

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -98,7 +97,8 @@ func (j *Journal) TailSince(afterSeq uint64) (snapshot []byte, batches []Batch, 
 	}
 	var snapSeq uint64
 	if snapData != nil {
-		if _, snapSeq, _, err = parseSnapshot(snapData); err != nil {
+		// Only the horizon is needed: the records are not collected.
+		if snapSeq, _, err = scanSnapshot(bytes.NewReader(snapData), readBufSize, nil); err != nil {
 			return nil, nil, 0, err
 		}
 	}
@@ -132,8 +132,9 @@ func (j *Journal) TailSince(afterSeq uint64) (snapshot []byte, batches []Batch, 
 
 // scanBatches tolerantly splits a journal file into its committed
 // batches: comments and blank lines between batches are skipped, and
-// scanning stops at the first torn or corrupt line, mirroring
-// readJournal's recovery discipline.
+// scanning stops at the first torn or corrupt line, mirroring the
+// recovery scan's discipline. Each record line is parsed from the
+// file's bytes, and each batch's Data is a slice of data, not a copy.
 //
 //cpvet:deterministic
 func scanBatches(data []byte) []Batch {
@@ -141,41 +142,35 @@ func scanBatches(data []byte) []Batch {
 	var pendingFirst uint64
 	var pendingCount int
 	start := -1 // byte offset where the pending batch began
-	off := 0
-	for off < len(data) {
-		// Index on the byte slice: a string conversion here would copy
-		// the whole remaining file once per line, turning every
-		// bootstrap scan quadratic.
+	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			break // unterminated final line: torn write
 		}
 		end := off + nl + 1
-		line := strings.TrimRight(string(data[off:off+nl]), "\r")
-		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimRight(data[off:off+nl], "\r")
+		if isBlank(line) {
 			if pendingCount > 0 {
 				break // comment mid-batch cannot occur; treat as torn
 			}
 			off = end
 			continue
 		}
-		r, seq, perr := parseRecord(line, data[off:off+len(line)])
+		r, perr := parseRecord(line)
 		if perr != nil {
 			break
 		}
 		switch {
-		case r.Op == opCommit:
-			count, cerr := strconv.Atoi(r.Line)
-			if cerr != nil || count != pendingCount || count == 0 {
+		case r.op == opCommit:
+			count, ok := commitCount(r.payload)
+			if !ok || count != pendingCount || count == 0 {
 				return out // mis-framed commit: keep the committed prefix
 			}
-			batch := make([]byte, end-start)
-			copy(batch, data[start:end])
-			out = append(out, Batch{FirstSeq: pendingFirst, CommitSeq: seq, Data: batch})
+			out = append(out, Batch{FirstSeq: pendingFirst, CommitSeq: r.seq, Data: data[start:end:end]})
 			pendingCount, start = 0, -1
 		default:
 			if pendingCount == 0 {
-				pendingFirst, start = seq, off
+				pendingFirst, start = r.seq, off
 			}
 			pendingCount++
 		}
@@ -188,41 +183,45 @@ func scanBatches(data []byte) []Batch {
 // line, consecutive sequence numbers, a final commit marker whose
 // count matches, CRC-checked payloads, and nothing else — no comments,
 // no blank lines, newline-terminated. Returns the records (without the
-// commit marker) and the batch's sequence span.
+// commit marker), whose strings are substrings of one string for the
+// batch, and the batch's sequence span.
 //
 //cpvet:deterministic
 func parseBatch(data []byte) (recs []Record, firstSeq, commitSeq uint64, err error) {
 	if len(data) == 0 || data[len(data)-1] != '\n' {
 		return nil, 0, 0, fmt.Errorf("journal: replicated batch not newline-terminated")
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	for i, line := range lines {
-		r, seq, perr := parseRecord(line, []byte(line))
+	b := batchBuf{text: make([]byte, 0, len(data))}
+	rest := bytes.TrimRight(data, "\n")
+	for i, more := 0, true; more; i++ {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, []byte{'\n'})
+		r, perr := parseRecord(line)
 		if perr != nil {
 			return nil, 0, 0, fmt.Errorf("journal: replicated batch line %d: %w", i+1, perr)
 		}
 		if i == 0 {
-			firstSeq = seq
-		} else if seq != firstSeq+uint64(i) {
+			firstSeq = r.seq
+		} else if r.seq != firstSeq+uint64(i) {
 			return nil, 0, 0, fmt.Errorf("journal: replicated batch line %d: sequence %d, want %d",
-				i+1, seq, firstSeq+uint64(i))
+				i+1, r.seq, firstSeq+uint64(i))
 		}
-		if i == len(lines)-1 {
-			if r.Op != opCommit {
+		if !more {
+			if r.op != opCommit {
 				return nil, 0, 0, fmt.Errorf("journal: replicated batch missing commit marker")
 			}
-			count, cerr := strconv.Atoi(r.Line)
-			if cerr != nil || count != len(recs) || count == 0 {
+			count, ok := commitCount(r.payload)
+			if !ok || count != b.len() || count == 0 {
 				return nil, 0, 0, fmt.Errorf("journal: replicated batch mis-framed commit %q over %d records",
-					r.Line, len(recs))
+					r.payload, b.len())
 			}
-			commitSeq = seq
-			return recs, firstSeq, commitSeq, nil
+			recs, _ = b.flush()
+			return recs, firstSeq, r.seq, nil
 		}
-		if r.Op == opCommit {
+		if r.op == opCommit {
 			return nil, 0, 0, fmt.Errorf("journal: replicated batch line %d: interior commit marker", i+1)
 		}
-		recs = append(recs, r)
+		b.add(r)
 	}
 	return nil, 0, 0, fmt.Errorf("journal: empty replicated batch")
 }
@@ -270,7 +269,7 @@ func (j *Journal) AppendReplicatedCtx(ctx context.Context, batch []byte) ([]Reco
 	if j.metrics != nil {
 		start = time.Now()
 	}
-	if err := j.writeDurable(ctx, string(batch), start); err != nil {
+	if err := j.writeDurable(ctx, batch, start); err != nil {
 		return nil, 0, err
 	}
 	j.nextSeq = commitSeq + 1

@@ -120,6 +120,33 @@ scanLoop:
 	return scan, nil
 }
 
+// readJournalWith runs the journal scan with a given read buffer size and
+// collects what it hands over, as the reference returns it.
+func readJournalWith(fsys faultfs.FS, path string, bufSize int) (journalScan, error) {
+	var recs []Record
+	var seqs []uint64
+	scan, err := scanJournal(fsys, path, bufSize, func(batch []Record, batchSeqs []uint64) error {
+		recs = append(recs, batch...)
+		seqs = append(seqs, batchSeqs...)
+		return nil
+	})
+	if !scan.legacy {
+		scan.recs, scan.seqs = recs, seqs
+	}
+	return scan, err
+}
+
+// readJournal is readJournalWith at the buffer size recovery reads
+// with.
+func readJournal(fsys faultfs.FS, path string) (journalScan, error) {
+	return readJournalWith(fsys, path, readBufSize)
+}
+
+// scanBufSizes are the read buffer sizes the scan is checked with
+// besides its own: every one of them is shorter than some record line,
+// so lines span reads and the longest ones take the side buffer.
+var scanBufSizes = []int{1, 2, 7, 16, 61}
+
 // appendedSegment is a real journal segment: three batches written
 // with Append, with a user name that needs quoting, a payload holding a
 // tab, and a remove and a drop among them.
@@ -239,6 +266,121 @@ func FuzzJournalScanMatchesReference(f *testing.F) {
 		for i := range want.recs {
 			if got.recs[i] != want.recs[i] || got.seqs[i] != want.seqs[i] {
 				t.Fatalf("record %d = %+v seq %d; reference %+v seq %d", i, got.recs[i], got.seqs[i], want.recs[i], want.seqs[i])
+			}
+		}
+		for _, size := range scanBufSizes {
+			got, err := readJournalWith(fsys, "/"+journalFile, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.maxSeq != want.maxSeq || got.validLen != want.validLen || got.legacy != want.legacy {
+				t.Fatalf("buffer %d: maxSeq, validLen, legacy = %d, %d, %v; reference %d, %d, %v",
+					size, got.maxSeq, got.validLen, got.legacy, want.maxSeq, want.validLen, want.legacy)
+			}
+			if len(got.recs) != len(want.recs) || len(got.seqs) != len(want.seqs) {
+				t.Fatalf("buffer %d: %d records, %d seqs; reference %d, %d", size, len(got.recs), len(got.seqs), len(want.recs), len(want.seqs))
+			}
+			for i := range want.recs {
+				if got.recs[i] != want.recs[i] || got.seqs[i] != want.seqs[i] {
+					t.Fatalf("buffer %d: record %d = %+v seq %d; reference %+v seq %d",
+						size, i, got.recs[i], got.seqs[i], want.recs[i], want.seqs[i])
+				}
+			}
+		}
+	})
+}
+
+// referenceParseSnapshot is parseSnapshot as it was before the snapshot
+// went through the streaming scan, with referenceParseRecord standing
+// in for the record parser of its day, which FuzzJournalScanMatchesReference
+// pinned to it.
+func referenceParseSnapshot(data []byte) (recs []Record, lastSeq uint64, hasMeta bool, err error) {
+	text := string(data)
+	recs = make([]Record, 0, strings.Count(text, "\n")+1)
+	for ln, off := 1, 0; off <= len(text); ln++ {
+		end := strings.IndexByte(text[off:], '\n')
+		if end < 0 {
+			end = len(text) - off
+		}
+		// Only trim the line ending: a record with an empty payload
+		// legitimately ends in a tab.
+		line := strings.TrimRight(text[off:off+end], "\r")
+		off += end + 1
+		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, metaPrefix); ok {
+			lastSeq, err = strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
+			if err != nil {
+				return nil, 0, false, fmt.Errorf("journal: snapshot line %d: bad lastseq: %w", ln, err)
+			}
+			hasMeta = true
+			continue
+		}
+		r, _, err := referenceParseRecord(line)
+		if err != nil {
+			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: %w", ln, err)
+		}
+		if r.Op == opCommit {
+			return nil, 0, false, fmt.Errorf("journal: snapshot line %d: commit marker in snapshot", ln)
+		}
+		recs = append(recs, r)
+	}
+	return recs, lastSeq, hasMeta, nil
+}
+
+// FuzzSnapshotScanMatchesReference pins the streaming snapshot scan, at
+// recovery's read buffer size and at every size of scanBufSizes, to the
+// snapshot parser it replaced: for any bytes, both must accept or both
+// refuse, and on acceptance agree on the records, the horizon and
+// whether a "!lastseq" line was present.
+func FuzzSnapshotScanMatchesReference(f *testing.F) {
+	snap := func(lines ...string) []byte {
+		return []byte(fileHeader + " snapshot\n" + strings.Join(lines, ""))
+	}
+	user := rawLine("U", "7", `"alice"`, crcOf(""), "")
+	add := rawLine("A", "7", `"alice"`, crcOf("[] => type = park : 0.4"), "[] => type = park : 0.4")
+	quoted := rawLine("A", "7", `"bob \"b\""`, crcOf("[time = t01] => type = museum :\t0.8"), "[time = t01] => type = museum :\t0.8")
+	for _, s := range [][]byte{
+		{},
+		snap(),
+		snap(metaPrefix+"7\n", user, add, quoted),
+		snap(user, metaPrefix+" 9 \n", add),
+		snap(metaPrefix+"7\n", user, add)[:40],
+		snap(metaPrefix+"7\r\n", "\n", "# comment\n", user, add),
+		snap(metaPrefix+"x\n", user),
+		snap(metaPrefix+"7\n", rawLine("C", "7", `""`, crcOf("1"), "1")),
+		snap(metaPrefix+"7\n", rawLine("A", "7", `"alice"`, "deadbeef", "[] => type = park : 0.4")),
+		snap(metaPrefix+"7\n", rawLine("U", "7", `"alice"`, crcOf(""))),
+		snap(metaPrefix+"7\n", user, strings.TrimSuffix(add, "\n")),
+		[]byte(strings.Repeat(add, 300)),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantSeq, wantMeta, wantErr := referenceParseSnapshot(data)
+		for _, size := range append([]int{readBufSize}, scanBufSizes...) {
+			var got []Record
+			gotSeq, gotMeta, gotErr := scanSnapshot(bytes.NewReader(data), size, func(chunk []Record) error {
+				got = append(got, chunk...)
+				return nil
+			})
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("buffer %d: error %v; reference %v", size, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if gotSeq != wantSeq || gotMeta != wantMeta {
+				t.Fatalf("buffer %d: lastSeq, hasMeta = %d, %v; reference %d, %v", size, gotSeq, gotMeta, wantSeq, wantMeta)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("buffer %d: %d records; reference %d", size, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("buffer %d: record %d = %+v; reference %+v", size, i, got[i], want[i])
+				}
 			}
 		}
 	})

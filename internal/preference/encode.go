@@ -70,8 +70,8 @@ func InferValue(text string) (relation.Value, error) {
 // Format renders the preference in the line encoding.
 func Format(p Preference) string {
 	var atoms []string
-	for _, pd := range p.Descriptor.ParamDescriptors() {
-		switch pd.Kind {
+	for i := range p.Descriptor.NumAtoms() {
+		switch pd := p.Descriptor.Atom(i); pd.Kind {
 		case ctxmodel.KindEq:
 			atoms = append(atoms, fmt.Sprintf("%s = %s", pd.Param, pd.Values[0]))
 		case ctxmodel.KindIn:
@@ -177,13 +177,19 @@ func atomParam(raw, text string) (string, error) {
 }
 
 // parseDescriptor reads a descriptor's ';'-separated atoms into a
-// descriptor. An eq-descriptor costs two allocations: the atoms, and
-// one values array they share, sized for one value per atom; in- and
-// between-atoms grow it.
-func parseDescriptor(text string) (ctxmodel.Descriptor, error) {
+// descriptor, whose atoms and values live in lp's buffers. A parser
+// whose buffers are too small for an eq-descriptor makes two
+// allocations: the atoms, and one values array they share, sized for
+// one value per atom; in- and between-atoms grow it.
+func (lp *LineParser) parseDescriptor(text string) (ctxmodel.Descriptor, error) {
 	atoms := strings.Count(text, ";") + 1
-	pds := make([]ctxmodel.ParamDescriptor, 0, atoms)
-	vals := make([]string, 0, atoms)
+	pds, vals := lp.pds[:0], lp.vals[:0]
+	if cap(pds) < atoms {
+		pds = make([]ctxmodel.ParamDescriptor, 0, atoms)
+	}
+	if cap(vals) < atoms {
+		vals = make([]string, 0, atoms)
+	}
 	for rest, more := text, true; more; {
 		var atom string
 		atom, rest, more = strings.Cut(rest, ";")
@@ -193,13 +199,31 @@ func parseDescriptor(text string) (ctxmodel.Descriptor, error) {
 		}
 		pds, vals = append(pds, pd), grown
 	}
+	lp.pds, lp.vals = pds[:0], vals[:0]
 	return ctxmodel.DescriptorFrom(pds)
+}
+
+// LineParser is ParseLine with buffers of its own that it reuses from
+// one call to the next, so a caller that parses many lines and keeps
+// none of the results, as journal replay does, makes no garbage per
+// line. The zero value is ready to use; a LineParser is not safe for
+// concurrent use.
+type LineParser struct {
+	pds  []ctxmodel.ParamDescriptor
+	vals []string
 }
 
 // ParseLine reads one preference in the line encoding. The strings of
 // the result are substrings of line. A descriptor of eq-atoms costs two
 // allocations, and a line without a descriptor none.
 func ParseLine(line string) (Preference, error) {
+	var lp LineParser
+	return lp.Parse(line)
+}
+
+// Parse is ParseLine, except that the descriptor of the result lives in
+// the parser's buffers: it is valid only until the next call.
+func (lp *LineParser) Parse(line string) (Preference, error) {
 	line = strings.TrimSpace(line)
 	if !strings.HasPrefix(line, "[") {
 		return Preference{}, fmt.Errorf("preference: line must start with '[': %q", line)
@@ -218,7 +242,7 @@ func ParseLine(line string) (Preference, error) {
 	var d ctxmodel.Descriptor
 	if descText != "" {
 		var err error
-		if d, err = parseDescriptor(descText); err != nil {
+		if d, err = lp.parseDescriptor(descText); err != nil {
 			return Preference{}, err
 		}
 	}

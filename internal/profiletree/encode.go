@@ -21,12 +21,10 @@ import (
 // thing resolution semantics depend on.
 
 // Encode renders the tree's contents, one line per leaf entry, in a
-// deterministic (state-sorted) order.
+// deterministic (state-sorted) order: SortedPaths'.
 func (t *Tree) Encode() (string, error) {
-	paths := t.Paths()
-	sort.Slice(paths, func(i, j int) bool { return paths[i].State.Key() < paths[j].State.Key() })
 	var b strings.Builder
-	for _, p := range paths {
+	for _, p := range t.SortedPaths() {
 		var pds []ctxmodel.ParamDescriptor
 		for i, v := range p.State {
 			if v != "all" {
@@ -47,6 +45,14 @@ func (t *Tree) Encode() (string, error) {
 		}
 	}
 	return b.String(), nil
+}
+
+// SortedPaths is Paths sorted by the states' Key(), the order Encode
+// renders the entries in.
+func (t *Tree) SortedPaths() []Candidate {
+	paths := t.Paths()
+	sort.Slice(paths, func(i, j int) bool { return paths[i].State.Key() < paths[j].State.Key() })
+	return paths
 }
 
 // Decode builds a tree (with the given order; nil = identity) from the

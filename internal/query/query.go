@@ -148,7 +148,7 @@ func (en *Engine) Execute(cq Contextual, current ctxmodel.State) (*Result, error
 // returned error wraps ctx.Err() and is errors.Is-matchable against
 // context.Canceled and context.DeadlineExceeded.
 func (en *Engine) ExecuteCtx(ctx context.Context, cq Contextual, current ctxmodel.State) (*Result, error) {
-	return en.execute(ctx, cq, current, false)
+	return en.execute(ctx, cq, nil, current, false)
 }
 
 // ExecuteFullCtx is ExecuteCtx for a caller that caches contextual
@@ -157,14 +157,32 @@ func (en *Engine) ExecuteCtx(ctx context.Context, cq Contextual, current ctxmode
 // the non-contextual fallback, which is never cached, still stops at
 // cq.TopK.
 func (en *Engine) ExecuteFullCtx(ctx context.Context, cq Contextual, current ctxmodel.State) (*Result, error) {
-	return en.execute(ctx, cq, current, true)
+	return en.execute(ctx, cq, nil, current, true)
+}
+
+// ExecuteStatesCtx is ExecuteFullCtx for a caller that already holds
+// the query's states, as QueryStates(cq, current) returned them: the
+// context query tree resolves them to look its cache up, and on a miss
+// hands them over here instead of having them validated and cloned a
+// second time. The result's resolutions keep the states.
+func (en *Engine) ExecuteStatesCtx(ctx context.Context, cq Contextual, states []ctxmodel.State) (*Result, error) {
+	return en.execute(ctx, cq, states, nil, true)
 }
 
 // execute runs executeCtx inside the query.execute span, which it
-// annotates with the result on the way out.
-func (en *Engine) execute(ctx context.Context, cq Contextual, current ctxmodel.State, rankAll bool) (*Result, error) {
+// annotates with the result on the way out. The query's states are
+// states when non-nil, and QueryStates(cq, current) otherwise.
+func (en *Engine) execute(ctx context.Context, cq Contextual, states []ctxmodel.State, current ctxmodel.State, rankAll bool) (*Result, error) {
 	ctx, sp := tracing.Start(ctx, "query.execute")
-	res, err := en.executeCtx(ctx, cq, current, rankAll)
+	if states == nil {
+		var err error
+		if states, err = en.QueryStates(cq, current); err != nil {
+			sp.Fail(err)
+			sp.End()
+			return nil, err
+		}
+	}
+	res, err := en.executeCtx(ctx, cq, states, rankAll)
 	sp.Fail(err)
 	if err == nil {
 		sp.SetInt("states", int64(len(res.Resolutions)))
@@ -176,15 +194,11 @@ func (en *Engine) execute(ctx context.Context, cq Contextual, current ctxmodel.S
 	return res, err
 }
 
-// executeCtx is the ExecuteCtx body; rankAll ranks a contextual answer
-// in full whatever cq.TopK.
+// executeCtx is the ExecuteCtx body over the query's states; rankAll
+// ranks a contextual answer in full whatever cq.TopK.
 //
 //cpvet:scanloop
-func (en *Engine) executeCtx(ctx context.Context, cq Contextual, current ctxmodel.State, rankAll bool) (*Result, error) {
-	states, err := en.QueryStates(cq, current)
-	if err != nil {
-		return nil, err
-	}
+func (en *Engine) executeCtx(ctx context.Context, cq Contextual, states []ctxmodel.State, rankAll bool) (*Result, error) {
 	res := &Result{}
 	rs := relation.NewResultSet(en.rel)
 	matched := false

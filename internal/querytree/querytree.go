@@ -436,7 +436,7 @@ func (en *Engine) ExecuteCtx(ctx context.Context, cq query.Contextual, current c
 				}, true, nil
 			}
 			tracing.AddEvent(ctx, "querytree.miss")
-			res, err := en.inner.ExecuteFullCtx(ctx, cq, current)
+			res, err := en.inner.ExecuteStatesCtx(ctx, cq, states)
 			if err != nil {
 				return nil, false, err
 			}

@@ -1,6 +1,7 @@
 package querytree
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -366,5 +367,36 @@ func TestCachedEngine(t *testing.T) {
 	// Invalid inputs propagate.
 	if _, _, err := en.Execute(query.Contextual{}, ctxmodel.State{"bad"}); err == nil {
 		t.Error("invalid state should fail")
+	}
+}
+
+// missAllocBudget caps the allocations of one cached-engine miss on
+// buildEngine's one-preference profile, 17: the resolution and ranking,
+// the cache entry and its trie cells, and one clone of the query state,
+// which the inner engine takes from the miss path instead of
+// validating and cloning the state a second time (19 when it did).
+const missAllocBudget = 17
+
+// TestCachedEngineMissAllocs pins the allocations of a cache miss: the
+// cache is emptied before each run, so every run resolves, ranks and
+// caches one single-state query.
+func TestCachedEngineMissAllocs(t *testing.T) {
+	e, inner := buildEngine(t)
+	cache, _ := New(e, nil, 0)
+	en, err := NewEngine(inner, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := st(t, e, "Plaka", "warm", "friends")
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		cache.Invalidate()
+		if _, hit, err := en.ExecuteCtx(ctx, query.Contextual{TopK: 1}, cur); err != nil || hit {
+			t.Fatalf("ExecuteCtx hit=%v err=%v, want a miss", hit, err)
+		}
+	})
+	t.Logf("cached-engine miss: %.0f allocs, budget %d", allocs, missAllocBudget)
+	if allocs > missAllocBudget {
+		t.Errorf("a cached-engine miss allocates %.0f, budget %d", allocs, missAllocBudget)
 	}
 }

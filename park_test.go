@@ -1,6 +1,7 @@
 package contextpref
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"contextpref/internal/dataset"
 	"contextpref/internal/faultfs"
 	"contextpref/internal/journal"
+	"contextpref/internal/preference"
 )
 
 // recordLines returns the Line of every record, for comparing archives.
@@ -20,6 +22,31 @@ func recordLines(recs []journal.Record) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {
 		out[i] = r.Line
+	}
+	return out
+}
+
+// parkedLines decodes a parked form into its records' lines, as
+// FormatPreference renders them.
+func parkedLines(t *testing.T, env *Environment, parked []byte) []string {
+	t.Helper()
+	recs, err := parkedRecords(env, "", parked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recordLines(recs)
+}
+
+// canonicalLines renders each line as FormatPreference does.
+func canonicalLines(t *testing.T, lines ...string) []string {
+	t.Helper()
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		p, err := ParsePreference(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = FormatPreference(p)
 	}
 	return out
 }
@@ -60,6 +87,8 @@ func TestParkArchiveRules(t *testing.T) {
 	recs := append(addRecords("a", orig...), addRecords("b")...)
 	recs = append(recs, addRecords("c", orig...)...)
 	recs = append(recs, journal.Record{Op: journal.OpRemove, User: "c", Line: orig[1]})
+	// The parked form renders each line canonically.
+	canon := canonicalLines(t, orig...)
 
 	d, err := NewDirectory(env, rel, WithMaxResidentUsers(1))
 	if err != nil {
@@ -86,8 +115,8 @@ func TestParkArchiveRules(t *testing.T) {
 	t.Run("unchanged re-parks the archive", func(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			cycle()
-			if got := recordLines(a.parked); !reflect.DeepEqual(got, orig) {
-				t.Fatalf("cycle %d parked %q, want the replayed lines %q", i, got, orig)
+			if got := parkedLines(t, env, a.parked); !reflect.DeepEqual(got, canon) {
+				t.Fatalf("cycle %d parked %q, want the replayed lines %q", i, got, canon)
 			}
 		}
 		// A delete that removes nothing does not move the version either.
@@ -96,8 +125,8 @@ func TestParkArchiveRules(t *testing.T) {
 			t.Fatalf("no-op remove = %d, %v", n, err)
 		}
 		b.NumPreferences()
-		if got := recordLines(a.parked); !reflect.DeepEqual(got, orig) {
-			t.Fatalf("after a no-op remove parked %q, want %q", got, orig)
+		if got := parkedLines(t, env, a.parked); !reflect.DeepEqual(got, canon) {
+			t.Fatalf("after a no-op remove parked %q, want %q", got, canon)
 		}
 	})
 
@@ -110,7 +139,7 @@ func TestParkArchiveRules(t *testing.T) {
 			t.Fatalf("normalized form has %d lines, want 4", len(want))
 		}
 		b.NumPreferences()
-		if got := recordLines(a.parked); !reflect.DeepEqual(got, want) {
+		if got := parkedLines(t, env, a.parked); !reflect.DeepEqual(got, want) {
 			t.Fatalf("after an add parked %q, want the re-encoded %q", got, want)
 		}
 		if a.archive != nil {
@@ -118,7 +147,7 @@ func TestParkArchiveRules(t *testing.T) {
 		}
 		// The re-encoded form is itself reused on the next cycle.
 		cycle()
-		if got := recordLines(a.parked); !reflect.DeepEqual(got, want) {
+		if got := parkedLines(t, env, a.parked); !reflect.DeepEqual(got, want) {
 			t.Fatalf("re-encoded form not reused: parked %q, want %q", got, want)
 		}
 		// A delete that removed an entry re-encodes too.
@@ -128,7 +157,7 @@ func TestParkArchiveRules(t *testing.T) {
 		}
 		want = normalizedLines(t, a)
 		b.NumPreferences()
-		if got := recordLines(a.parked); !reflect.DeepEqual(got, want) || len(want) != 3 {
+		if got := parkedLines(t, env, a.parked); !reflect.DeepEqual(got, want) || len(want) != 3 {
 			t.Fatalf("after a remove parked %q, want the re-encoded %q (3 lines)", got, want)
 		}
 	})
@@ -136,11 +165,11 @@ func TestParkArchiveRules(t *testing.T) {
 	t.Run("removes drop the archive", func(t *testing.T) {
 		c.NumPreferences()
 		if c.archive != nil {
-			t.Fatalf("archive with a remove record kept: %q", recordLines(c.archive))
+			t.Fatalf("archive with a remove record kept: %q", parkedLines(t, env, c.archive))
 		}
 		want := normalizedLines(t, c)
 		b.NumPreferences()
-		if got := recordLines(c.parked); !reflect.DeepEqual(got, want) || len(want) != 2 {
+		if got := parkedLines(t, env, c.parked); !reflect.DeepEqual(got, want) || len(want) != 2 {
 			t.Fatalf("parked %q, want the re-encoded %q (2 lines)", got, want)
 		}
 	})
@@ -157,7 +186,7 @@ func TestParkArchiveRules(t *testing.T) {
 			sys, _ := free.Lookup(name)
 			sys.NumPreferences()
 			if !sys.Resident() || sys.archive != nil {
-				t.Fatalf("user %q: resident %v, archive %q", name, sys.Resident(), recordLines(sys.archive))
+				t.Fatalf("user %q: resident %v, archive %q", name, sys.Resident(), parkedLines(t, env, sys.archive))
 			}
 		}
 	})
@@ -650,10 +679,12 @@ func TestParkConcurrentResidentSet(t *testing.T) {
 	}
 }
 
-// TestParkedRecordsOwnTheirText pins that replay archives parked
-// records in memory of their own. Recovered records are substrings of
-// the text they were parsed from (a whole snapshot is one string), so a
-// parked record that kept them would keep all of that text alive.
+// TestParkedRecordsOwnTheirText pins that replay parks records in
+// memory of their own. Recovered records are substrings of the text
+// they were parsed from (a batch, or a chunk of a snapshot, is one
+// string), so a parked user that kept them would keep that text alive;
+// the parked form is the records' binary encoding, which holds no
+// string, and the handle's name is a copy.
 func TestParkedRecordsOwnTheirText(t *testing.T) {
 	env, rel := persistFixture(t)
 	line := "[time = t05] => type = gallery : 0.7"
@@ -687,24 +718,26 @@ func TestParkedRecordsOwnTheirText(t *testing.T) {
 			t.Error("the shard's user key aliases the read text")
 		}
 	}
-	if len(sys.parked) != 1 {
-		t.Fatalf("parked %d records, want 1", len(sys.parked))
+	// The parked form is bytes of its own: it holds no string at all,
+	// and so no substring of the read text.
+	if got := parkedLines(t, env, sys.parked); !reflect.DeepEqual(got, canonicalLines(t, line)) {
+		t.Fatalf("parked %q, want the one line %q", got, line)
 	}
-	for _, r := range sys.parked {
-		if within(r.User) || within(r.Line) {
-			t.Errorf("parked record %+v aliases the read text", r)
-		}
+	if p := uintptr(unsafe.Pointer(unsafe.SliceData(sys.parked))); p >= uintptr(unsafe.Pointer(unsafe.StringData(read))) &&
+		p < uintptr(unsafe.Pointer(unsafe.StringData(read)))+uintptr(len(read)) {
+		t.Error("the parked form aliases the read text")
 	}
 	if got := sys.NumPreferences(); got != 1 {
 		t.Fatalf("unparked profile has %d preferences, want 1", got)
 	}
 }
 
-// TestReplaySharesOneCopyPerLine pins the line map of one replay call:
-// every parked record of one text, across users, shares one copy of
-// it, and that copy is not the journal text the records were read
-// from.
-func TestReplaySharesOneCopyPerLine(t *testing.T) {
+// TestReplayParksEncodedRecords pins what replay parks for a line that
+// several users journaled: each user's parked form is the op byte and
+// the line's binary encoding, shorter than the line and holding no
+// string, so the line table's one copy of the text is not kept past
+// the replay, and no user keeps the journal text either.
+func TestReplayParksEncodedRecords(t *testing.T) {
 	env, rel := persistFixture(t)
 	d, err := NewDirectory(env, rel, WithShards(4), WithMaxResidentUsers(1))
 	if err != nil {
@@ -726,20 +759,21 @@ func TestReplaySharesOneCopyPerLine(t *testing.T) {
 	if err := d.ReplayShard(2, recs); err != nil {
 		t.Fatal(err)
 	}
-	var shared *byte
-	for i, u := range users {
+	p, err := ParsePreference(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := preference.AppendBinary([]byte{byte(journal.OpAdd)}, env, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) >= len(line) {
+		t.Fatalf("the parked record takes %d bytes, the line %d", len(want), len(line))
+	}
+	for _, u := range users {
 		sys, _ := d.Lookup(u)
-		if len(sys.parked) != 1 {
-			t.Fatalf("%s parked %d records, want 1", u, len(sys.parked))
-		}
-		p := unsafe.StringData(sys.parked[0].Line)
-		if p == unsafe.StringData(recs[2*i+1].Line) {
-			t.Errorf("%s's parked line aliases the replayed record", u)
-		}
-		if shared == nil {
-			shared = p
-		} else if p != shared {
-			t.Errorf("%s's parked line is a copy of its own", u)
+		if !bytes.Equal(sys.parked, want) {
+			t.Errorf("%s parked %x, want the encoded record %x", u, sys.parked, want)
 		}
 	}
 }
@@ -773,7 +807,7 @@ func TestReplayErrorInsideARun(t *testing.T) {
 	if !ok {
 		t.Fatalf("%s not created", users[1])
 	}
-	if got := recordLines(sys.parked); len(got) != 4 || got[1] != "[] => type = park : 0.4" {
+	if got := parkedLines(t, env, sys.parked); len(got) != 4 || got[1] != canonicalLines(t, "[] => type = park : 0.4")[0] {
 		t.Errorf("%s parked %q after two failed replays, want the two lines before the bad one, twice", users[1], got)
 	}
 	other, err := NewDirectory(env, rel, WithShards(4))
@@ -783,5 +817,46 @@ func TestReplayErrorInsideARun(t *testing.T) {
 	want = fmt.Sprintf("contextpref: replaying record 5 (user %q): %v", users[1], parseErr)
 	if err := other.Replay(recs); err == nil || err.Error() != want {
 		t.Errorf("Replay = %v, want %s", err, want)
+	}
+}
+
+// TestReplayRejectsUnknownValue pins that replay checks each record
+// against the environment: a line that parses but names a value outside
+// its parameter's hierarchy fails the replay, naming the record's index
+// in the segment and its user, with the error Descriptor.Context gives,
+// after the records before it in the run are parked.
+func TestReplayRejectsUnknownValue(t *testing.T) {
+	env, rel := persistFixture(t)
+	const bad = "[time = t99] => type = museum : 0.5"
+	p, err := ParsePreference(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ctxErr := p.Descriptor.Context(env)
+	if ctxErr == nil {
+		t.Fatal("t99 is a time value of the fixture environment")
+	}
+	users := shardUsers(4, 1)[3]
+	recs := addRecords(users[0], "[] => type = park : 0.4", bad)
+	d, err := NewDirectory(env, rel, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := d.ShardReplayer(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bad record comes in the second batch of the segment, so its
+	// index counts the first batch's records.
+	if err := rp.Apply(recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("contextpref: replaying shard 3 record 2 (user %q): %v", users[0], ctxErr)
+	if err := rp.Apply(recs[2:]); err == nil || err.Error() != want {
+		t.Fatalf("Apply = %v, want %s", err, want)
+	}
+	sys, _ := d.Lookup(users[0])
+	if got := parkedLines(t, env, sys.parked); !reflect.DeepEqual(got, canonicalLines(t, "[] => type = park : 0.4")) {
+		t.Errorf("parked %q, want only the line before the bad one", got)
 	}
 }

@@ -14,11 +14,12 @@ package contextpref
 // *PersistError; a crash after the journal write is recovered by
 // replay, which re-applies the already-validated record.
 //
-// Directory replay is lazy: records are parsed (so a corrupt or
-// foreign journal still fails loudly at startup) but accumulated in
-// parked per-user handles instead of being applied to materialized
-// profile trees — a directory with a million journaled users starts
-// with zero resident trees, and each profile is built on first access.
+// Directory replay is lazy: records are parsed and checked against the
+// environment (so a corrupt or foreign journal still fails loudly at
+// startup) but parked in per-user handles in binary form instead of
+// being applied to materialized profile trees — a directory with a
+// million journaled users starts with zero resident trees, and each
+// profile is built on first access.
 
 import (
 	"context"
@@ -26,6 +27,7 @@ import (
 	"strings"
 
 	"contextpref/internal/journal"
+	"contextpref/internal/preference"
 )
 
 // Persister observes committed profile mutations so they can be made
@@ -143,10 +145,13 @@ func (d *Directory) SetPersister(p Persister) {
 // Replay applies recovered journal records to a single-user system,
 // ignoring the records' user field. Call before SetPersister. Replay of
 // a journal produced by this package cannot conflict; an error
-// indicates a corrupt or foreign journal.
+// indicates a corrupt or foreign journal. Recovery replay runs before a
+// health tracker or persister is attached, so applying each record
+// directly is exactly what AddPreference/RemovePreference would have
+// done.
 func (s *System) Replay(recs []journal.Record) error {
 	for i, r := range recs {
-		if err := replayOne(s, r); err != nil {
+		if err := applyRecord(s, r); err != nil {
 			return fmt.Errorf("contextpref: replaying record %d: %w", i, err)
 		}
 	}
@@ -159,13 +164,12 @@ func (s *System) Replay(recs []journal.Record) error {
 // themselves journaled when the user was first created. Call before
 // SetPersister.
 //
-// Replay is lazy: each record is parsed and validated syntactically,
-// then accumulated in the user's parked handle; no profile tree is
-// materialized until the user is first accessed. A record that fails
-// to apply at that point (impossible for a journal this package wrote)
-// surfaces from the access that triggered the load.
+// Replay is lazy: each record is parsed, validated against the
+// environment and parked in its user's handle in binary form; no
+// profile tree is materialized until the user is first accessed. It is
+// a Replayer fed one slice.
 func (d *Directory) Replay(recs []journal.Record) error {
-	return d.replay(-1, recs)
+	return d.newReplayer(-1).Apply(recs)
 }
 
 // ReplayShard is Replay for one shard's journal segment, and also the
@@ -179,44 +183,83 @@ func (d *Directory) Replay(recs []journal.Record) error {
 //
 // It verifies that every record's user hashes to the given shard: the
 // assignment decides segment ownership, so a misrouted record would
-// land a user's state in a shard no lookup ever consults.
+// land a user's state in a shard no lookup ever consults. It is a
+// ShardReplayer fed one slice, so two calls share nothing.
 func (d *Directory) ReplayShard(shard int, recs []journal.Record) error {
-	if shard < 0 || shard >= len(d.shards) {
-		return fmt.Errorf("contextpref: replaying shard %d: directory has %d shards", shard, len(d.shards))
+	r, err := d.ShardReplayer(shard)
+	if err != nil {
+		return err
 	}
-	return d.replay(shard, recs)
+	return r.Apply(recs)
 }
 
-// replay folds recovered (or replicated) records into the directory, in
-// order: drops delete the user, creations ensure a parked handle, and
-// add/remove records accumulate in the handle — applied directly only
-// if the user happens to be resident. With shard >= 0 every record's
-// user must hash to that shard.
+// ShardReplayer returns the replay state of one recovery of a shard's
+// segment: a segment read batch by batch (journal.OpenStream) is fed
+// to Apply one batch at a time, in order, and replays exactly as
+// ReplayShard of the whole segment would. The state lives as long as
+// the recovery.
+func (d *Directory) ShardReplayer(shard int) (*Replayer, error) {
+	if shard < 0 || shard >= len(d.shards) {
+		return nil, fmt.Errorf("contextpref: replaying shard %d: directory has %d shards", shard, len(d.shards))
+	}
+	return d.newReplayer(shard), nil
+}
+
+func (d *Directory) newReplayer(shard int) *Replayer {
+	return &Replayer{d: d, shard: shard, lines: make(map[string]string)}
+}
+
+// Replayer folds the records of one journal segment into a directory,
+// a batch at a time: drops delete the user, creations ensure a parked
+// handle, and add/remove records are parked in the handle — applied
+// directly only if the user happens to be resident. With a shard, every
+// record's user must hash to it. A Replayer is not safe for concurrent
+// use.
 //
 // A run of one user's consecutive creations, adds and removes costs one
 // handle lookup and one append. Each distinct add/remove line is parsed
-// once per call: ParseLine is a pure function of the text, so a line
-// that parsed is valid at every occurrence, and every parked record
-// with that text shares one copy of it, owned by the directory rather
-// than by the text the records were read from. A line that fails to
-// parse fails at every occurrence, and the records before it are
-// folded in first, as if each record were replayed alone.
-func (d *Directory) replay(shard int, recs []journal.Record) error {
+// and encoded once per Replayer: ParseLine is a pure function of the
+// text, so a line that parsed and encoded is valid at every occurrence,
+// and the table keeps the line and its encoding in one string of its
+// own, never the batch text it was read from. A line that fails to
+// parse, or names a parameter or value outside the environment, fails
+// at every occurrence, and the records before it are folded in first,
+// as if each record were replayed alone.
+type Replayer struct {
+	d     *Directory
+	shard int // -1: records of any shard
+	// n is how many records Apply was fed: the segment index of the
+	// next record.
+	n      int
+	parser preference.LineParser
+	// lines maps each distinct line seen to its binary encoding.
+	lines map[string]string
+	enc   []byte // scratch for a new line's table entry
+	run   []byte // the current run's records in parked form
+	at    []int  // at[k] is the index in the batch of run record k
+}
+
+// Records returns how many records the replayer was fed.
+func (r *Replayer) Records() int { return r.n }
+
+// Apply folds the next batch of the segment's records into the
+// directory. An error names the failing record by its index in the
+// segment and its user.
+func (r *Replayer) Apply(recs []journal.Record) error {
+	d, base := r.d, r.n
+	r.n += len(recs)
 	fail := func(i int, err error) error {
-		if shard < 0 {
-			return fmt.Errorf("contextpref: replaying record %d (user %q): %w", i, recs[i].User, err)
+		if r.shard < 0 {
+			return fmt.Errorf("contextpref: replaying record %d (user %q): %w", base+i, recs[i].User, err)
 		}
-		return fmt.Errorf("contextpref: replaying shard %d record %d (user %q): %w", shard, i, recs[i].User, err)
+		return fmt.Errorf("contextpref: replaying shard %d record %d (user %q): %w", r.shard, base+i, recs[i].User, err)
 	}
-	lines := make(map[string]string)
-	var run []journal.Record
-	var at []int // at[k] is the index in recs of run[k]
 	for i := 0; i < len(recs); {
 		user := recs[i].User
 		own := UserShard(user, len(d.shards))
-		if shard >= 0 && own != shard {
+		if r.shard >= 0 && own != r.shard {
 			return fmt.Errorf("contextpref: replaying shard %d record %d: user %q belongs to shard %d",
-				shard, i, user, own)
+				r.shard, base+i, user, own)
 		}
 		if user == "" {
 			return fail(i, fmt.Errorf("contextpref: record without a user in a directory journal"))
@@ -231,29 +274,27 @@ func (d *Directory) replay(shard int, recs []journal.Record) error {
 		default:
 			return fail(i, fmt.Errorf("contextpref: unknown journal op %q", string(rune(op))))
 		}
-		run, at = run[:0], at[:0]
+		r.run, r.at = r.run[:0], r.at[:0]
 		var perr error
 		j := i
 	runLoop:
 		for ; j < len(recs) && recs[j].User == user; j++ {
-			r := recs[j]
-			switch r.Op {
+			rec := recs[j]
+			switch rec.Op {
 			case journal.OpUser:
 				continue
 			case journal.OpAdd, journal.OpRemove:
 			default:
 				break runLoop // a drop or an unknown op ends the run
 			}
-			line, ok := lines[r.Line]
+			enc, ok := r.lines[rec.Line]
 			if !ok {
-				if _, perr = ParsePreference(r.Line); perr != nil {
+				if enc, perr = r.encode(rec.Line); perr != nil {
 					break
 				}
-				line = strings.Clone(r.Line)
-				lines[line] = line
 			}
-			run = append(run, journal.Record{Op: r.Op, Line: line})
-			at = append(at, j)
+			r.run = append(append(r.run, byte(rec.Op)), enc...)
+			r.at = append(r.at, j)
 		}
 		// The handle exists once a creation or a valid line was seen.
 		if j > i {
@@ -261,11 +302,8 @@ func (d *Directory) replay(shard int, recs []journal.Record) error {
 			if err != nil {
 				return fail(i, err)
 			}
-			for k := range run {
-				run[k].User = sys.user
-			}
-			if n, err := sys.appendParked(run); err != nil {
-				return fail(at[n], err)
+			if n, err := sys.appendParked(r.run); err != nil {
+				return fail(r.at[n], err)
 			}
 		}
 		if perr != nil {
@@ -276,21 +314,30 @@ func (d *Directory) replay(shard int, recs []journal.Record) error {
 	return nil
 }
 
-// replayOne applies one add/remove record to a bare system. Recovery
-// replay runs before a health tracker or persister is attached, so the
-// direct application below is exactly what AddPreference/
-// RemovePreference would have done.
-func replayOne(s *System, r journal.Record) error {
-	return applyRecord(s, r)
+// encode parses a line the table has not seen, encodes it against the
+// environment and enters it: one allocation holds the table's key and
+// the encoding.
+func (r *Replayer) encode(line string) (string, error) {
+	p, err := r.parser.Parse(line)
+	if err != nil {
+		return "", err
+	}
+	if r.enc, err = preference.AppendBinary(append(r.enc[:0], line...), r.d.env, p); err != nil {
+		return "", err
+	}
+	entry := string(r.enc)
+	key, enc := entry[:len(line)], entry[len(line):]
+	r.lines[key] = enc
+	return enc, nil
 }
 
 // applyRecord applies one add/remove record directly to the profile
 // tree: no health gate, no persister. This is the shared core of
-// recovery replay (including the unpark rebuild) and the replication
-// follower's live apply path — in all of them, the record is already
-// durable in the local journal and was validated when it was first
-// committed, so gating it again (a follower's role gate would reject
-// its own stream) or re-journaling it would be wrong.
+// single-system recovery replay and the replication tests' apply path
+// — in all of them, the record is already durable in the local journal
+// and was validated when it was first committed, so gating it again (a
+// follower's role gate would reject its own stream) or re-journaling it
+// would be wrong.
 func applyRecord(s *System, r journal.Record) error {
 	switch r.Op {
 	case journal.OpUser:
@@ -300,23 +347,35 @@ func applyRecord(s *System, r journal.Record) error {
 		if err != nil {
 			return err
 		}
-		if r.Op == journal.OpAdd {
-			// InsertAll runs the Def. 6 conflict check itself.
-			if err := s.tree.InsertAll(p); err != nil {
-				return err
-			}
-		} else if _, err := s.tree.Delete(p); err != nil {
-			return err
-		}
-		if s.cache != nil {
-			s.cache.Invalidate()
-		}
-		return nil
+		return applyPref(s, r.Op, p)
 	case journal.OpDrop:
 		return fmt.Errorf("contextpref: drop-user record in single-user journal")
 	default:
 		return fmt.Errorf("contextpref: unknown journal op %q", string(rune(r.Op)))
 	}
+}
+
+// applyPref applies one added or removed preference directly to the
+// profile tree, as applyRecord does; the unpark rebuild applies its
+// decoded records through it.
+func applyPref(s *System, op journal.Op, p Preference) error {
+	switch op {
+	case journal.OpAdd:
+		// InsertAll runs the Def. 6 conflict check itself.
+		if err := s.tree.InsertAll(p); err != nil {
+			return err
+		}
+	case journal.OpRemove:
+		if _, err := s.tree.Delete(p); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("contextpref: unknown journal op %q", string(rune(op)))
+	}
+	if s.cache != nil {
+		s.cache.Invalidate()
+	}
+	return nil
 }
 
 // ResetShardReplicated replaces one shard's in-memory state with a
@@ -361,20 +420,39 @@ func (s *System) SnapshotRecords(user string) ([]journal.Record, error) {
 }
 
 // SnapshotRecords renders the system's current profile under the shared
-// lock. A parked system snapshots from its record archive without
+// lock. A parked system snapshots from its parked form without
 // materializing — so compacting a million-user store does not fault a
 // million profile trees into memory — at the cost of a possibly
-// non-normalized record sequence (replayed add/remove pairs are copied
-// as-is until the user is next materialized and parked again).
+// non-normalized record sequence (replayed add/remove pairs are kept
+// as-is until the user is next materialized and parked again). Each
+// parked record is decoded and rendered with FormatPreference, so a
+// line this package journaled comes back byte-identical and a
+// hand-written one in its canonical form. Decoding needs the
+// directory's environment, so a parked user removed from its directory
+// fails.
 func (s *SafeSystem) SnapshotRecords(user string) ([]journal.Record, error) {
+	var env *Environment
+	if sh := s.shard.Load(); sh != nil {
+		env = sh.d.env
+	}
+	return s.snapshotRecords(env, user)
+}
+
+// snapshotRecords is SnapshotRecords decoding a parked form against
+// env. Compaction passes its directory's, so a compaction that races a
+// removal still renders the user.
+func (s *SafeSystem) snapshotRecords(env *Environment, user string) ([]journal.Record, error) {
 	s.mu.RLock()
 	if s.sys != nil {
 		defer s.mu.RUnlock()
 		return s.sys.SnapshotRecords(user)
 	}
-	recs := append([]journal.Record(nil), s.parked...)
+	parked := s.parked // appends never write the bytes it spans
 	s.mu.RUnlock()
-	return recs, nil
+	if env == nil {
+		return nil, fmt.Errorf("contextpref: user %q was removed", s.user)
+	}
+	return parkedRecords(env, user, parked)
 }
 
 // SnapshotShardRecords renders one shard's users — and only them — for
@@ -390,7 +468,7 @@ func (d *Directory) SnapshotShardRecords(shard int) ([]journal.Record, error) {
 			continue // removed concurrently
 		}
 		out = append(out, journal.Record{Op: journal.OpUser, User: name})
-		recs, err := sys.SnapshotRecords(name)
+		recs, err := sys.snapshotRecords(d.env, name)
 		if err != nil {
 			return nil, fmt.Errorf("contextpref: snapshotting user %q: %w", name, err)
 		}
